@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -20,7 +19,8 @@ import numpy as np
 from .core import Pair, ProblemInstance, Realization, realization_from_global_edges
 from .errors import InstanceTooSmall, NotAdjacent, PreconditionViolated, TooManyStates
 
-_LAZY, _C4, _C6 = 0, 1, 2
+# move kinds are drawn uniformly from 0..3; kinds 0 and 1 are lazy
+_LAZY, _C4, _C6 = 0, 2, 3
 _CHUNK = 4096
 
 
@@ -37,23 +37,25 @@ def _require_chain_instance(inst: ProblemInstance) -> None:
         raise InstanceTooSmall("chain proposals need at least 2 vertices per class")
 
 
-@dataclass
-class _MoveTables:
-    u_pairs: list[tuple[int, int]]
-    w_pairs: list[tuple[int, int]]
-    u_triples: list[tuple[int, int, int]]
-    w_triples: list[tuple[int, int, int]]
+def _distinct_draws(
+    rng: np.random.Generator, n: int, size: int, r: int, offset: int
+) -> list[tuple[int, ...]]:
+    """`size` uniform ordered r-tuples (r = 2 or 3) of distinct ints in [offset, offset + n).
 
-
-def _move_tables(inst: ProblemInstance) -> _MoveTables:
-    us = range(inst.n_u)
-    ws = range(inst.n_u, inst.n_vertices)
-    return _MoveTables(
-        list(combinations(us, 2)),
-        list(combinations(ws, 2)),
-        list(combinations(us, 3)),
-        list(combinations(ws, 3)),
-    )
+    Each later index is drawn from the values left and shifted past the ones
+    already taken, so no draw is rejected.  Every unordered set is equally
+    likely, which is all the kernel depends on.
+    """
+    a = rng.integers(0, n, size)
+    b = rng.integers(0, n - 1, size)
+    b += b >= a
+    cols = [a, b]
+    if r == 3:
+        c = rng.integers(0, n - 2, size)
+        c += c >= np.minimum(a, b)
+        c += c >= np.maximum(a, b)
+        cols.append(c)
+    return list(zip(*((col + offset).tolist() for col in cols)))
 
 
 def _try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
@@ -104,41 +106,43 @@ def _advance(
     edges: set[Pair],
     steps: int,
     rng: np.random.Generator,
-    tables: _MoveTables | None = None,
     record_pair: Pair | None = None,
     record_every: int = 0,
 ) -> list[int]:
     """Run proposals in place; optionally record an edge indicator periodically.
 
-    Draws come in fixed-size blocks (move type, pair index, triple index), so
-    a trajectory is reproducible for a given seed and step count.
+    Draws come in fixed-size blocks (move kinds, then the U- and W-pairs of
+    the block's 4-cycle steps, then the triples of its 6-cycle steps), so a
+    trajectory is reproducible for a given seed and step count.
     """
-    t = tables or _move_tables(inst)
     forbidden = inst.forbidden
-    n_up, n_wp = len(t.u_pairs), len(t.w_pairs)
-    n_ut, n_wt = len(t.u_triples), len(t.w_triples)
-    have_triples = n_ut > 0 and n_wt > 0
+    n_u, n_w = inst.n_u, inst.n_w
+    have_triples = n_u >= 3 and n_w >= 3
     recorded: list[int] = []
     since_record = 0
     done = 0
     while done < steps:
         block = min(_CHUNK, steps - done)
-        moves = rng.random(block)
-        iu2 = rng.integers(0, n_up, block)
-        iw2 = rng.integers(0, n_wp, block)
-        iu3 = rng.integers(0, n_ut, block) if have_triples else np.zeros(block, dtype=int)
-        iw3 = rng.integers(0, n_wt, block) if have_triples else np.zeros(block, dtype=int)
-        for i in range(block):
-            m = moves[i]
-            if m >= 0.5:
-                if m < 0.75:
-                    toggle = _try_c4(forbidden, edges, t.u_pairs[iu2[i]], t.w_pairs[iw2[i]])
-                elif have_triples:
-                    toggle = _try_c6(forbidden, edges, t.u_triples[iu3[i]], t.w_triples[iw3[i]])
-                else:
-                    toggle = None
-                if toggle is not None:
-                    edges.symmetric_difference_update(toggle)
+        kinds = rng.integers(0, 4, block)
+        if not have_triples:
+            kinds[kinds == _C6] = _LAZY
+        n4 = int(np.count_nonzero(kinds == _C4))
+        n6 = int(np.count_nonzero(kinds == _C6))
+        u4, w4 = _distinct_draws(rng, n_u, n4, 2, 0), _distinct_draws(rng, n_w, n4, 2, n_u)
+        u6, w6 = _distinct_draws(rng, n_u, n6, 3, 0), _distinct_draws(rng, n_w, n6, 3, n_u)
+        i4 = i6 = 0
+        # without recording, lazy steps change nothing and are skipped
+        for kind in (kinds if record_every else kinds[kinds >= _C4]).tolist():
+            if kind == _C4:
+                toggle = _try_c4(forbidden, edges, u4[i4], w4[i4])
+                i4 += 1
+            elif kind == _C6:
+                toggle = _try_c6(forbidden, edges, u6[i6], w6[i6])
+                i6 += 1
+            else:
+                toggle = None
+            if toggle is not None:
+                edges.symmetric_difference_update(toggle)
             if record_every:
                 since_record += 1
                 if since_record == record_every:
@@ -325,11 +329,8 @@ def sample_edge_frequency(
 ) -> tuple[int, Realization]:
     """Count of thinned post-burn-in states containing `pair`."""
     _require_chain_instance(inst)
-    tables = _move_tables(inst)
     edges = set(start.edges)
-    _advance(inst, edges, burn_in, rng, tables)
-    recorded = _advance(
-        inst, edges, n_samples * thin, rng, tables, record_pair=pair, record_every=thin
-    )
+    _advance(inst, edges, burn_in, rng)
+    recorded = _advance(inst, edges, n_samples * thin, rng, record_pair=pair, record_every=thin)
     final = realization_from_global_edges(inst, edges)
     return sum(recorded), final

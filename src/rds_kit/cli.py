@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def _load_realization(inst: ProblemInstance, arg: str) -> Realization:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    keep = ("seed", "steps", "burn_in", "samples", "max_states", "max_delta", "threads")
+    keep = ("seed", "steps", "burn_in", "samples", "max_states", "max_delta")
     return {k: getattr(args, k) for k in keep if hasattr(args, k)}
 
 
@@ -130,15 +129,7 @@ def _cmd_sample(args) -> tuple[int, dict]:
         return EXIT_NEGATIVE, {"graphical": False}
     steps = args.steps if args.steps is not None else default_burn_in(inst)
     seeds = np.random.SeedSequence(args.seed).generate_state(args.samples, dtype=np.uint64)
-
-    def one(chain_seed: int) -> list[list[int]]:
-        return run_chain(inst, start, steps, int(chain_seed)).to_pairs()
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            samples = list(pool.map(one, seeds))
-    else:
-        samples = [one(s) for s in seeds]
+    samples = [run_chain(inst, start, steps, int(s)).to_pairs() for s in seeds]
     return EXIT_OK, {"samples": samples, "steps": steps, "warn_not_half_regular": not inst.half_regular}
 
 
@@ -255,6 +246,19 @@ def _cmd_bench(args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rds-kit",
@@ -273,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("construct", _cmd_construct, help="emit one deterministic realization")
 
     p = add("sample", _cmd_sample, help="run the chain and emit realizations")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--steps", type=_at_least(0), default=None)
+    p.add_argument("--samples", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("enumerate", _cmd_enumerate, help="exhaustively list realizations")
     p.add_argument("--max-delta", type=int, default=40, dest="max_delta")
@@ -285,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--approx", action="store_true")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
+    p.add_argument("--samples", type=_at_least(1), default=1000)
+    p.add_argument("--burn-in", type=_at_least(0), default=None, dest="burn_in")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("distance", _cmd_distance, help="minimum swap weight between realizations")
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("convert-directed", _cmd_convert_directed, help="directed instance to bipartite form")
 
     p = add("bench", _cmd_bench, help="machine-dependent throughput numbers")
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--steps", type=_at_least(0), default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-states", type=int, default=64, dest="max_states")
 

@@ -44,11 +44,7 @@ def _alive_partner(
     inst: ProblemInstance, y: int, residuals: Mapping[int, int]
 ) -> int | None:
     """The unique alive forbidden partner of y, or None; NotNormal when several."""
-    partners = [
-        (b if a == y else a)
-        for a, b in inst.forbidden
-        if y in (a, b) and (b if a == y else a) in residuals
-    ]
+    partners = [p for p in inst.forbidden_partners.get(y, ()) if p in residuals]
     if len(partners) > 1:
         raise NotNormal(f"vertex {y} has forbidden partners {sorted(partners)}")
     return partners[0] if partners else None
@@ -96,15 +92,18 @@ def _select_neighbors(order: NeighborOrder, need: int) -> list[NeighborEntry] | 
     while len(chosen) < need:
         if not pool:
             return None
-        best = min(
-            range(len(pool)),
-            key=lambda i: (
-                -pool[i].degree,
-                -pool[i].partner_degree,
-                pool[i].partner in chosen_vertices,
-                pool[i].vertex,
-            ),
-        )
+        # the pool stays in order, so its head wins unless its partner is spent
+        best = 0
+        if pool[0].partner in chosen_vertices:
+            best = min(
+                range(len(pool)),
+                key=lambda i: (
+                    -pool[i].degree,
+                    -pool[i].partner_degree,
+                    pool[i].partner in chosen_vertices,
+                    pool[i].vertex,
+                ),
+            )
         entry = pool.pop(best)
         if entry.degree <= 0:
             return None

@@ -141,6 +141,15 @@ class ProblemInstance:
         return frozenset(pairs)
 
     @cached_property
+    def forbidden_partners(self) -> dict[int, tuple[int, ...]]:
+        """Vertex -> its forbidden partners, ascending; vertices without one are absent."""
+        partners: dict[int, list[int]] = {}
+        for a, b in self.forbidden:
+            partners.setdefault(a, []).append(b)
+            partners.setdefault(b, []).append(a)
+        return {v: tuple(sorted(ps)) for v, ps in partners.items()}
+
+    @cached_property
     def effective_star_center(self) -> int:
         """The designated star center; index 0 of U when none was given."""
         if self.star_center is not None:

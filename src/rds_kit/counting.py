@@ -23,7 +23,7 @@ from .core import (
 )
 from .chain import default_burn_in, sample_edge_frequency
 from .construct import greedy_construct
-from .errors import Exhausted, PreconditionViolated
+from .errors import DegreeExceedsChords, Exhausted, PreconditionViolated
 from .oracle import enumerate_all
 
 
@@ -120,6 +120,9 @@ def exact_count(inst: ProblemInstance, max_chords: int = 40, method: str = "enum
     def rec(work: ProblemInstance) -> int:
         try:
             _, absent, present = branch_split(work)
+        except DegreeExceedsChords:
+            # retiring a center left a W-vertex more demand than U-vertices
+            return 0
         except Exhausted:
             degrees = list(work.u_degrees) + list(work.w_degrees)
             return 1 if all(d == 0 for d in degrees) else 0

@@ -11,7 +11,6 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
 
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import TooLarge
@@ -284,7 +283,9 @@ def uniformity_test(
     start: Realization | None = None,
 ) -> dict:
     """Sample independent chains and compare the end-state histogram to uniform."""
-    from .chain import _advance, _move_tables, _require_chain_instance
+    from scipy import stats  # slow to import, and needed only here
+
+    from .chain import _advance, _require_chain_instance
     from .construct import greedy_construct
 
     _require_chain_instance(inst)
@@ -294,12 +295,11 @@ def uniformity_test(
         start = greedy_construct(inst)
         if start is None:
             raise TooLarge("instance is not graphical")
-    tables = _move_tables(inst)
     counts = np.zeros(len(states), dtype=np.int64)
     for child_seed in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.Generator(np.random.Philox(child_seed))
         edges = set(start.edges)
-        _advance(inst, edges, steps, rng, tables)
+        _advance(inst, edges, steps, rng)
         counts[index[tuple(sorted(edges))]] += 1
     n_states = len(states)
     freqs = counts / n_samples

@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from rds_kit import chain, core
+from rds_kit import chain, construct, core
 from rds_kit.errors import InstanceTooSmall, NotAdjacent, TooManyStates
 from rds_kit.oracle import enumerate_all
 
@@ -156,3 +159,38 @@ def test_sample_edge_frequency_counts(f2, f2_reals):
     )
     assert 0.4 <= hits / 4000 <= 0.6
     assert final.instance == f2
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (3, 3), (4, 3), (7, 2), (7, 3)])
+def test_distinct_draws_in_range(n, r):
+    rng = np.random.Generator(np.random.Philox(1))
+    draws = chain._distinct_draws(rng, n, 2000, r, 10)
+    assert len(draws) == 2000
+    for t in draws:
+        assert len(t) == r and len(set(t)) == r
+        assert all(isinstance(x, int) and 10 <= x < 10 + n for x in t)
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (4, 3), (5, 3)])
+def test_distinct_draws_uniform_over_sets(n, r):
+    rng = np.random.Generator(np.random.Philox(2024))
+    sets = {c: 0 for c in combinations(range(n), r)}
+    for t in chain._distinct_draws(rng, n, 20_000, r, 0):
+        sets[tuple(sorted(t))] += 1
+    assert stats.chisquare(list(sets.values())).pvalue >= 1e-4
+
+
+def test_run_chain_memory_does_not_grow_with_n_cubed():
+    n = 300
+    inst = core.bipartite_instance(
+        [3] * n, [3] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
+    )
+    start = construct.greedy_construct(inst)
+    for steps in (0, 20_000):
+        tracemalloc.start()
+        try:
+            chain.run_chain(inst, start, steps, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"{steps} steps peaked at {peak} bytes"

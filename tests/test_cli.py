@@ -153,6 +153,22 @@ def test_usage_error_exit_two(capsys, f2_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--steps", "-5"],
+        ["sample", "--samples", "-1"],
+        ["sample", "--samples", "0"],
+        ["count", "--approx", "--samples", "0"],
+        ["count", "--approx", "--burn-in", "-1"],
+        ["bench", "--steps", "-1"],
+    ],
+)
+def test_bad_count_exit_two(capsys, f2_path, argv):
+    assert cli.main([argv[0], f2_path, *argv[1:]]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_bench_schema(capsys, f2_path):
     code, payload = run(capsys, ["bench", f2_path, "--steps", "2000"])
     assert code == 0

@@ -148,6 +148,88 @@ def test_greedy_completeness_small_general():
     assert checked > 100
 
 
+def _alive_partner_by_scan(inst, y, residuals):
+    """Reference: scan the whole forbidden set for the alive partners of y."""
+    partners = [
+        (b if a == y else a)
+        for a, b in inst.forbidden
+        if y in (a, b) and (b if a == y else a) in residuals
+    ]
+    if len(partners) > 1:
+        raise NotNormal(f"vertex {y} has forbidden partners {sorted(partners)}")
+    return partners[0] if partners else None
+
+
+def _select_by_min(order, need):
+    """Reference: re-rank the whole pool before every pick."""
+    pool = list(order.entries)
+    chosen, chosen_vertices = [], set()
+    while len(chosen) < need:
+        if not pool:
+            return None
+        best = min(
+            range(len(pool)),
+            key=lambda i: (
+                -pool[i].degree,
+                -pool[i].partner_degree,
+                pool[i].partner in chosen_vertices,
+                pool[i].vertex,
+            ),
+        )
+        entry = pool.pop(best)
+        if entry.degree <= 0:
+            return None
+        chosen.append(entry)
+        chosen_vertices.add(entry.vertex)
+    return chosen
+
+
+def _half_regular(n, d):
+    return core.bipartite_instance(
+        [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
+    )
+
+
+def test_alive_partner_matches_forbidden_scan():
+    import random
+
+    rng = random.Random(3)
+    instances = [
+        _half_regular(6, 2),
+        core.bipartite_instance([2, 1, 1], [2, 1, 1], star_center=0, star_leaves=[1], matching=[(1, 1)]),
+        core.general_instance([1, 1, 1, 1, 2], star_center=4, matching=[(0, 1), (2, 3)]),
+        core.general_instance([2, 2, 1, 1, 2], star_center=0, star_leaves=[1, 3], matching=[(1, 2), (3, 4)]),
+    ]
+    checked = 0
+    for inst in instances:
+        for _ in range(100):
+            residuals = {
+                v: rng.randrange(3) for v in range(inst.n_vertices) if rng.random() < 0.7
+            }
+            for y in range(inst.n_vertices):
+                try:
+                    expected = _alive_partner_by_scan(inst, y, residuals)
+                except NotNormal:
+                    with pytest.raises(NotNormal):
+                        construct._alive_partner(inst, y, residuals)
+                    continue
+                assert construct._alive_partner(inst, y, residuals) == expected
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("n", [10, 30, 100])
+def test_greedy_matches_reference_greedy(monkeypatch, n):
+    for d in (2, n // 3):
+        inst = _half_regular(n, d)
+        got = construct.greedy_construct(inst)
+        with monkeypatch.context() as m:
+            m.setattr(construct, "_alive_partner", _alive_partner_by_scan)
+            m.setattr(construct, "_select_neighbors", _select_by_min)
+            expected = construct.greedy_construct(inst)
+        assert got is not None and got.edges == expected.edges
+
+
 # -- repair_swap ------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rds_kit import core, counting
 from rds_kit.errors import Exhausted
@@ -74,8 +76,39 @@ def test_exact_count_fixtures(f2, f3, f5):
 
 
 def test_exact_count_branch_agrees_with_enumeration(f1, f2, f3, f4, f5):
-    for inst in (f1, f2, f3, f4, f5):
+    # retiring a center of these two leaves a W-vertex more demand than
+    # U-vertices: that branch is infeasible and counts 0
+    roadmap_4x4 = core.bipartite_instance(
+        [2] * 4, [2] * 4, star_center=0, star_leaves=[1], matching=[(1, 2), (2, 3)]
+    )
+    half_regular_5x5 = core.bipartite_instance(
+        [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
+    )
+    assert counting.exact_count(roadmap_4x4) == 15
+    for inst in (f1, f2, f3, f4, f5, roadmap_4x4, half_regular_5x5):
         assert counting.exact_count(inst, method="branch") == counting.exact_count(inst)
+
+
+@st.composite
+def star_matching_instances(draw):
+    """Small bipartite instances with a star at some U-vertex and a matching."""
+    n_u = draw(st.integers(2, 4))
+    n_w = draw(st.integers(2, 4))
+    u_deg = draw(st.lists(st.integers(0, n_w), min_size=n_u, max_size=n_u))
+    w_deg = draw(st.lists(st.integers(0, n_u), min_size=n_w, max_size=n_w))
+    assume(sum(u_deg) == sum(w_deg))
+    center = draw(st.integers(0, n_u - 1))
+    leaves = draw(st.sets(st.integers(0, n_w - 1)))
+    w_perm = draw(st.permutations(range(n_w)))
+    size = draw(st.integers(0, min(n_u, n_w)))
+    matching = [(i, w_perm[i]) for i in range(size)]
+    return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_matching_instances())
+def test_exact_count_branch_equals_enumeration_property(inst):
+    assert counting.exact_count(inst, method="branch") == counting.exact_count(inst)
 
 
 def test_branch_identity_at_every_node(f1, f2, f4, f5):
