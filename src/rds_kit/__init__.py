@@ -54,13 +54,13 @@ from .oracle import (
     uniformity_test,
 )
 from .paths import (
-    AuditMatrix,
     PathReport,
     audit_bad_positions,
     auxiliary_matrix,
     canonical_path,
     milestones,
     ordered_cycle_decomposition,
+    state_stack,
     sweep_cycle,
     switch_repair,
     verify_theta_omega,

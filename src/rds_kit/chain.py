@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .core import Pair, ProblemInstance, Realization, realization_from_global_edges
-from .errors import InstanceTooSmall, NotAdjacent, PreconditionViolated, TooManyStates
+from .errors import InstanceTooSmall, NotAdjacent, PreconditionViolated
 
 # move kinds are drawn uniformly from 0..3; kinds 0 and 1 are lazy
 _LAZY, _C4, _C6 = 0, 2, 3
@@ -293,12 +293,10 @@ def exact_kernel(inst: ProblemInstance, max_states: int = 4096) -> KernelReport:
     _require_chain_instance(inst)
     from .oracle import enumerate_all
 
-    states = enumerate_all(inst)
+    states = enumerate_all(inst, max_states=max_states)
     n = len(states)
     if n == 0:
         raise PreconditionViolated("instance is not graphical")
-    if n > max_states:
-        raise TooManyStates(f"{n} states exceed the kernel guard {max_states}")
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

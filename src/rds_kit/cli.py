@@ -40,6 +40,19 @@ class _CliFailure(Exception):
         self.payload = payload
 
 
+class _UsageError(Exception):
+    """An argument rejected by the parser; its usage text is already on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises _UsageError where it would exit, so main can report it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -181,21 +194,21 @@ def _cmd_kernel(args) -> tuple[int, dict]:
 
 def _cmd_audit_paths(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
-    states = oracle.enumerate_all(inst)
-    if args.max_states and len(states) > args.max_states:
-        raise TooLarge(f"{len(states)} states exceed --max-states {args.max_states}")
+    states = oracle.enumerate_all(inst, max_states=args.max_states or None)
+    stack = paths.state_stack(states)
+    edge_lists = [s.to_pairs() for s in states]
     pair_reports = []
     max_h = 0
-    for X in states:
-        for Y in states:
-            if X.key == Y.key:
+    for i, X in enumerate(states):
+        for j, Y in enumerate(states):
+            if i == j:
                 continue
-            rep = paths.verify_theta_omega(X, Y, states)
+            rep = paths.verify_theta_omega(X, Y, stack=stack)
             max_h = max(max_h, rep.max_hamming)
             pair_reports.append(
                 {
-                    "from": X.to_pairs(),
-                    "to": Y.to_pairs(),
+                    "from": edge_lists[i],
+                    "to": edge_lists[j],
                     "moves": len(rep.steps),
                     "max_hamming": rep.max_hamming,
                     "theta_ok": rep.theta_ok,
@@ -260,7 +273,7 @@ def _at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rds-kit",
         description="construct, sample, audit and count restricted degree sequence realizations",
     )
@@ -269,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("instance", help="instance JSON path, or - for stdin")
-        p.add_argument("--format", choices=["json"], default="json")
         p.set_defaults(func=func)
         return p
 
@@ -315,10 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        command = argv[0] if argv and not argv[0].startswith("-") else None
+        _emit({"schema": SCHEMA, "command": command, "error": "UsageError", "message": str(exc)})
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code else EXIT_OK
     base = {"schema": SCHEMA, "command": args.command}
     try:

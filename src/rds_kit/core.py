@@ -150,6 +150,23 @@ class ProblemInstance:
         return {v: tuple(sorted(ps)) for v, ps in partners.items()}
 
     @cached_property
+    def forbidden_mask(self) -> np.ndarray:
+        """Read-only mask of the positions a :class:`ChordMatrix` never holds."""
+        mask = _forbidden_mask(self)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def known_realizations(self) -> dict[frozenset[Pair], "Realization"]:
+        """Realizations recorded by :func:`rds_kit.oracle.enumerate_all`, keyed by edge set.
+
+        Filled only by enumeration, so sampling never grows it;
+        :func:`realization_from_global_edges` returns a recorded object
+        without validating it again.
+        """
+        return {}
+
+    @cached_property
     def effective_star_center(self) -> int:
         """The designated star center; index 0 of U when none was given."""
         if self.star_center is not None:
@@ -218,6 +235,13 @@ class Realization:
         """Canonical identity: the sorted edge tuple."""
         return tuple(sorted(self.edges))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only 0/1 values of :func:`adjacency_matrix`, built once."""
+        values = _matrix_values(self)
+        values.setflags(write=False)
+        return values
+
     def has_edge(self, a: int, b: int) -> bool:
         return norm_pair(a, b) in self.edges
 
@@ -247,8 +271,24 @@ def make_realization(inst: ProblemInstance, pairs: Iterable[Pair | list[int]]) -
 
 
 def realization_from_global_edges(inst: ProblemInstance, edges: Iterable[Pair]) -> Realization:
-    """Build and validate a realization from normalized global pairs."""
-    edge_set = frozenset(norm_pair(a, b) for a, b in edges)
+    """Build and validate a realization from global pairs, in either order.
+
+    An edge set that enumeration recorded in ``inst.known_realizations``
+    returns the recorded object; any other is validated in full.
+    """
+    edge_set = frozenset(map(tuple, edges))
+    known = inst.known_realizations.get(edge_set)
+    if known is None:
+        edge_set = frozenset(norm_pair(a, b) for a, b in edge_set)
+        known = inst.known_realizations.get(edge_set)
+    if known is not None:
+        return known
+    _check_edges(inst, edge_set)
+    return Realization(inst, edge_set)
+
+
+def _check_edges(inst: ProblemInstance, edge_set: frozenset[Pair]) -> None:
+    """Every pair is a chord and every vertex meets its degree."""
     degrees = [0] * inst.n_vertices
     for a, b in edge_set:
         if not inst.is_chord(a, b):
@@ -260,7 +300,6 @@ def realization_from_global_edges(inst: ProblemInstance, edges: Iterable[Pair]) 
             raise ValidationError(
                 f"vertex {v} has degree {d}, instance demands {inst.degree(v)}"
             )
-    return Realization(inst, edge_set)
 
 
 def chord_status(
@@ -553,8 +592,7 @@ def _forbidden_mask(inst: ProblemInstance) -> np.ndarray:
     return mask
 
 
-def adjacency_matrix(real: Realization) -> ChordMatrix:
-    """0/1 matrix of a realization with forbidden positions marked."""
+def _matrix_values(real: Realization) -> np.ndarray:
     inst = real.instance
     if inst.is_bipartite_like:
         values = np.zeros((inst.n_w, inst.n_u), dtype=np.int8)
@@ -565,4 +603,13 @@ def adjacency_matrix(real: Realization) -> ChordMatrix:
         values = np.zeros((n, n), dtype=np.int8)
         for a, b in real.edges:
             values[a, b] = values[b, a] = 1
-    return ChordMatrix(inst, values, _forbidden_mask(inst))
+    return values
+
+
+def adjacency_matrix(real: Realization) -> ChordMatrix:
+    """0/1 matrix of a realization with forbidden positions marked.
+
+    The values are a writable copy of the cached ``real.matrix``; the mask is
+    the instance's read-only ``forbidden_mask``.
+    """
+    return ChordMatrix(real.instance, real.matrix.copy(), real.instance.forbidden_mask)

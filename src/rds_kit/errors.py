@@ -94,7 +94,7 @@ class TooLarge(RdsKitError):
 
 
 class TooManyStates(TooLarge):
-    """State space exceeds the exact-kernel guard."""
+    """State space exceeds a state-count guard; enumeration stops when it fires."""
 
 
 class Exhausted(RdsKitError):

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
-from .errors import TooLarge
+from .errors import TooLarge, TooManyStates
 from .swaps import (
     ChordCircuit,
     CircularSwap,
@@ -25,24 +25,38 @@ CHAIN_MOVES = "chain_moves"
 ALL_FSWAPS = "all_fswaps"
 
 
-def enumerate_all(inst: ProblemInstance, max_chords: int = 40) -> list[Realization]:
-    """Every realization, duplicate-free, sorted by canonical edge list."""
+def enumerate_all(
+    inst: ProblemInstance, max_chords: int = 40, max_states: int | None = None
+) -> list[Realization]:
+    """Every realization, duplicate-free, sorted by canonical edge list.
+
+    Raises TooManyStates as soon as more than ``max_states`` are found.  The
+    result is recorded in ``inst.known_realizations``, so later builds of the
+    same edge sets skip validation.
+    """
     if inst.chord_count > max_chords:
         raise TooLarge(f"{inst.chord_count} chords exceed the enumeration guard {max_chords}")
+    out: list[Realization] = []
+
+    def collect(edges: list[Pair]) -> None:
+        out.append(realization_from_global_edges(inst, edges))
+        if max_states is not None and len(out) > max_states:
+            raise TooManyStates(f"more than {max_states} states: enumeration stopped at the guard")
+
     if inst.is_bipartite_like:
-        found = _enumerate_bipartite(inst)
+        _enumerate_bipartite(inst, collect)
     else:
-        found = _enumerate_general(inst)
-    return sorted(found, key=lambda r: r.key)
+        _enumerate_general(inst, collect)
+    inst.known_realizations.update((r.edges, r) for r in out)
+    return sorted(out, key=lambda r: r.key)
 
 
-def _enumerate_bipartite(inst: ProblemInstance) -> list[Realization]:
+def _enumerate_bipartite(inst: ProblemInstance, collect) -> None:
     n_u = inst.n_u
     w_ids = list(range(n_u, inst.n_vertices))
     chords_at = {u: inst.chords_at(u) for u in range(n_u)}
     chords_set = {u: set(chords_at[u]) for u in range(n_u)}
     residual = {w: inst.degree(w) for w in w_ids}
-    out: list[Realization] = []
     edges: list[Pair] = []
 
     def feasible(u_next: int) -> bool:
@@ -59,7 +73,7 @@ def _enumerate_bipartite(inst: ProblemInstance) -> list[Realization]:
     def rec(u: int) -> None:
         if u == n_u:
             if all(r == 0 for r in residual.values()):
-                out.append(realization_from_global_edges(inst, edges))
+                collect(edges)
             return
         need = inst.degree(u)
         candidates = [w for w in chords_at[u] if residual[w] > 0]
@@ -76,19 +90,17 @@ def _enumerate_bipartite(inst: ProblemInstance) -> list[Realization]:
                 residual[w] += 1
 
     rec(0)
-    return out
 
 
-def _enumerate_general(inst: ProblemInstance) -> list[Realization]:
+def _enumerate_general(inst: ProblemInstance, collect) -> None:
     n = inst.n_vertices
     residual = [inst.degree(v) for v in range(n)]
-    out: list[Realization] = []
     edges: list[Pair] = []
 
     def rec(v: int) -> None:
         if v == n:
             if all(r == 0 for r in residual):
-                out.append(realization_from_global_edges(inst, edges))
+                collect(edges)
             return
         need = residual[v]
         candidates = [
@@ -108,7 +120,6 @@ def _enumerate_general(inst: ProblemInstance) -> list[Realization]:
             residual[v] = need
 
     rec(0)
-    return out
 
 
 def enumerate_fswaps(real: Realization, max_length: int | None = None) -> list[CircularSwap]:
@@ -248,9 +259,7 @@ def build_realization_graph(
     max_states: int | None = None,
 ) -> RealizationGraph:
     """Graph over all realizations under chain moves or all F-swaps (weighted)."""
-    states = enumerate_all(inst, max_chords)
-    if max_states is not None and len(states) > max_states:
-        raise TooLarge(f"{len(states)} states exceed the graph guard {max_states}")
+    states = enumerate_all(inst, max_chords, max_states)
     index = {s.key: i for i, s in enumerate(states)}
     neighbors: dict[int, dict[int, int]] = {i: {} for i in range(len(states))}
     if move_set == CHAIN_MOVES:

@@ -22,7 +22,6 @@ from .core import (
     Pair,
     ProblemInstance,
     Realization,
-    _forbidden_mask,
     adjacency_matrix,
     norm_pair,
     realization_from_global_edges,
@@ -42,8 +41,6 @@ from .swaps import (
     swap_from_circuit,
 )
 
-AuditMatrix = ChordMatrix
-
 HAMMING_BOUND = 16  # one swap (4 positions) plus three switches (4 each)
 
 
@@ -53,12 +50,9 @@ HAMMING_BOUND = 16  # one swap (4 positions) plus three switches (4 each)
 
 
 def auxiliary_matrix(X: Realization, Y: Realization, Z: Realization) -> ChordMatrix:
-    """Entrywise M_X + M_Y - M_Z over chord positions."""
-    mx = adjacency_matrix(X)
-    my = adjacency_matrix(Y)
-    mz = adjacency_matrix(Z)
-    values = (mx.values.astype(np.int8) + my.values - mz.values).astype(np.int8)
-    return ChordMatrix(X.instance, values, mx.forbidden)
+    """Entrywise M_X + M_Y - M_Z over chord positions, from the cached matrices."""
+    values = X.matrix + Y.matrix - Z.matrix
+    return ChordMatrix(X.instance, values, X.instance.forbidden_mask)
 
 
 @dataclass(frozen=True)
@@ -396,14 +390,11 @@ def switch_repair(m: ChordMatrix, max_switches: int = 3) -> tuple[list[Switch], 
         sw = _pick_switch(work, bads)
         _apply_switch(work, sw)
         switches.append(sw)
-    edges = set()
-    for u in range(inst.n_u):
-        for w in range(inst.n_u, inst.n_vertices):
-            v = _value(work, u, w)
-            if v == 1:
-                edges.add((u, w))
-            elif v not in (0, None):
-                raise AuditFailed("repair left a non-binary entry")
+    chords = ~work.forbidden
+    if (chords & (work.values != 0) & (work.values != 1)).any():
+        raise AuditFailed("repair left a non-binary entry")
+    rows, cols = np.nonzero(chords & (work.values == 1))
+    edges = {(u, inst.n_u + r) for r, u in zip(rows.tolist(), cols.tolist())}
     return switches, realization_from_global_edges(inst, edges)
 
 
@@ -510,10 +501,17 @@ def _chain_neighbors(Z: Realization) -> list[Realization]:
     return out
 
 
+def state_stack(states: list[Realization]) -> np.ndarray:
+    """(S, n_w * n_u) stack of the states' matrices, for nearest-state searches."""
+    return np.array([s.matrix.ravel() for s in states], dtype=np.int8)
+
+
 def verify_theta_omega(
     X: Realization,
     Y: Realization,
     states: list[Realization] | None = None,
+    *,
+    stack: np.ndarray | None = None,
 ) -> PathReport:
     """Audit one canonical path against the sweep-cost and auxiliary-matrix bounds.
 
@@ -522,24 +520,26 @@ def verify_theta_omega(
     some realization matrix, found both by exhaustive nearest search and
     constructively via one chain move plus at most three switches; and the
     bad-entry pattern sits within one move of the confined-column shape.
-    Raises AuditFailed on any violation.
+    Raises AuditFailed on any violation.  The nearest search runs over
+    ``stack`` (see :func:`state_stack`) when given, else over ``states``,
+    else over every enumerated realization.
     """
     inst = X.instance
     if not inst.is_bipartite_like:
         raise PreconditionViolated("audits are defined for bipartite kinds")
     if not inst.half_regular:
         raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
-    if states is None:
-        from .oracle import enumerate_all
+    if stack is None:
+        if states is None:
+            from .oracle import enumerate_all
 
-        states = enumerate_all(inst)
-    mats = np.stack(
-        [adjacency_matrix(s).values.ravel() for s in states]
-    )
+            states = enumerate_all(inst)
+        stack = state_stack(states)
     report = canonical_path(X, Y)
-    mask = _forbidden_mask(inst).ravel()
-    col_target = adjacency_matrix(X).column_sums()
-    row_target = adjacency_matrix(X).row_sums()
+    chord_positions = ~inst.forbidden_mask.ravel()
+    mx = adjacency_matrix(X)
+    col_target = mx.column_sums()
+    row_target = mx.row_sums()
 
     max_h = 0
     for step in report.steps:
@@ -550,7 +550,7 @@ def verify_theta_omega(
         if not sums_ok:
             raise AuditFailed("auxiliary matrix margins drifted")
         flat = mhat.values.ravel()
-        dists = ((mats != flat) & ~mask).sum(axis=1)
+        dists = ((stack != flat) & chord_positions).sum(axis=1)
         h = int(dists.min())
         step.hamming_nearest = h
         max_h = max(max_h, h)
@@ -570,10 +570,10 @@ def verify_theta_omega(
             if base is None:
                 raise AuditFailed("no single move reaches the repairable pattern")
             swaps_used = 1
-        switches, repaired = switch_repair(auxiliary_matrix(X, Y, base))
-        constructive = auxiliary_matrix(X, Y, step.state).hamming(
-            adjacency_matrix(repaired)
+        switches, repaired = switch_repair(
+            mhat if base is step.state else auxiliary_matrix(X, Y, base)
         )
+        constructive = mhat.hamming(adjacency_matrix(repaired))
         if constructive > HAMMING_BOUND or len(switches) > 3:
             raise AuditFailed("constructive repair exceeded the audit bound")
         step.repair_switches = len(switches)

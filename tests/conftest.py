@@ -6,6 +6,7 @@ and distance code so they can serve as ground truth for it.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations
 
 import pytest
@@ -50,6 +51,25 @@ def f2_reals(f2):
     ra = core.make_realization(f2, [(0, 1), (1, 2), (2, 0)])
     rb = core.make_realization(f2, [(0, 2), (1, 0), (2, 1)])
     return ra, rb
+
+
+@pytest.fixture
+def half_regular_5_path(tmp_path):
+    """u = w = [3]*5, star u0 -> {w1}, matching (i, i) for i = 1..4; 32 realizations."""
+    p = tmp_path / "half_regular_5.json"
+    p.write_text(
+        json.dumps(
+            {
+                "kind": "bipartite",
+                "u_degrees": [3] * 5,
+                "w_degrees": [3] * 5,
+                "star_center": 0,
+                "star_leaves": [1],
+                "matching": [[i, i] for i in range(1, 5)],
+            }
+        )
+    )
+    return str(p)
 
 
 def subset_bruteforce(inst: core.ProblemInstance) -> list[frozenset]:

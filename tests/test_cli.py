@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from rds_kit import cli
+from rds_kit import cli, oracle
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -114,6 +117,37 @@ def test_audit_paths(capsys, f2_path):
     assert payload["max_hamming"] <= payload["hamming_bound"]
 
 
+def test_audit_paths_max_states_stops_enumeration(capsys, half_regular_5_path, monkeypatch):
+    built = []
+    real_build = oracle.realization_from_global_edges
+    monkeypatch.setattr(
+        oracle, "realization_from_global_edges", lambda i, e: built.append(1) or real_build(i, e)
+    )
+    code, payload = run(capsys, ["audit-paths", half_regular_5_path, "--max-states", "2"])
+    assert code == 3 and payload["error"] == "TooManyStates"
+    assert len(built) == 3 < 32
+
+
+def test_audit_paths_verbose_matches_golden(capsys, tmp_path):
+    """The ROADMAP 4x4 instance (15 states); the golden report predates the audit caches."""
+    p = tmp_path / "roadmap4x4.json"
+    p.write_text(
+        json.dumps(
+            {
+                "kind": "bipartite",
+                "u_degrees": [2, 2, 2, 2],
+                "w_degrees": [2, 2, 2, 2],
+                "star_center": 0,
+                "star_leaves": [1],
+                "matching": [[1, 2], [2, 3]],
+            }
+        )
+    )
+    assert cli.main(["audit-paths", str(p), "--verbose"]) == 0
+    golden = (DATA / "audit_paths_roadmap_4x4_verbose.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_convert_directed(capsys, tmp_path):
     p = tmp_path / "D.json"
     p.write_text(json.dumps({"kind": "directed", "out_degrees": [1, 1], "in_degrees": [1, 1]}))
@@ -166,7 +200,41 @@ def test_usage_error_exit_two(capsys, f2_path):
 )
 def test_bad_count_exit_two(capsys, f2_path, argv):
     assert cli.main([argv[0], f2_path, *argv[1:]]) == 2
-    assert capsys.readouterr().out == ""
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "rds-kit/1" and report["error"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv, command, fragment",
+    [
+        (["sample", "F2", "--steps", "-5"], "sample", "--steps"),
+        (["count", "F2"], "count", "--exact --approx"),
+        (["frobnicate", "F2"], "frobnicate", "invalid choice"),
+        ([], None, "required"),
+    ],
+)
+def test_argparse_rejection_prints_json_report(capsys, f2_path, argv, command, fragment):
+    argv = [f2_path if a == "F2" else a for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["schema"] == "rds-kit/1"
+    assert report["command"] == command and report["error"] == "UsageError"
+    assert fragment in report["message"]
+    assert captured.err.startswith("usage: rds-kit")
+    assert report["message"] in captured.err
+
+
+def test_help_exits_zero_without_report(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["audit-paths", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "usage: rds-kit" in out and "rds-kit/1" not in out
+
+
+def test_format_flag_is_gone(capsys, f2_path):
+    assert cli.main(["check", f2_path, "--format", "json"]) == 2
+    assert "--format" in json.loads(capsys.readouterr().out)["message"]
 
 
 def test_bench_schema(capsys, f2_path):

@@ -1,21 +1,26 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rds_kit import core
+from rds_kit.chain import run_chain
+from rds_kit.construct import greedy_construct
 from rds_kit.errors import (
     DegreeExceedsChords,
     DegreeSumMismatch,
     ForbiddenSetNotBipartite,
     IndexOutOfRange,
     LengthMismatch,
+    NotAChord,
     NotDirectedKind,
     OverlappingMatching,
     StarCenterOutOfRange,
     SumMismatch,
     UnsupportedDirectedVariant,
+    ValidationError,
 )
 from rds_kit.oracle import enumerate_all
 
@@ -201,6 +206,66 @@ def test_adjacency_matrix_sums_for_every_enumerated_realization(f2, f3, f4):
             m = core.adjacency_matrix(r)
             assert list(m.column_sums()) == list(inst.u_degrees)
             assert list(m.row_sums()) == list(inst.w_degrees)
+
+
+def test_adjacency_matrix_copies_are_independent_and_writable(f3):
+    real = enumerate_all(f3)[0]
+    first = core.adjacency_matrix(real)
+    assert first.values.flags.writeable
+    original = first.values.copy()
+    first.values[:] = 7
+    second = core.adjacency_matrix(real)
+    assert second.values is not first.values
+    assert np.array_equal(second.values, original)
+    assert np.array_equal(real.matrix, original)
+
+
+def test_realization_matrix_and_forbidden_mask_are_read_only(f3):
+    real = enumerate_all(f3)[0]
+    assert real.matrix is real.matrix  # built once
+    mask = f3.forbidden_mask
+    assert mask is f3.forbidden_mask
+    assert not real.matrix.flags.writeable and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        real.matrix[0, 0] = 1
+    with pytest.raises(ValueError):
+        mask[0, 1] = True
+    assert np.array_equal(mask, core._forbidden_mask(f3))
+    assert core.adjacency_matrix(real).forbidden is mask
+
+
+def test_known_edge_set_returns_the_enumerated_object(f3):
+    states = enumerate_all(f3)
+    for state in states:
+        assert core.realization_from_global_edges(f3, set(state.edges)) is state
+        # either pair order, any iterable
+        flipped = [(w, u) for u, w in state.edges]
+        assert core.realization_from_global_edges(f3, iter(flipped)) is state
+    assert set(f3.known_realizations.values()) == set(states)
+
+
+def test_unknown_edge_sets_are_still_validated(f3):
+    enumerate_all(f3)  # fills the index
+    real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
+    u0, u1, w0, w1 = f3.u(0), f3.u(1), f3.w(0), f3.w(1)
+    forbidden = (real.edges - {(u0, w1), (u1, w0)}) | {(u0, w0), (u1, w1)}
+    with pytest.raises(NotAChord):
+        core.realization_from_global_edges(f3, forbidden)
+    same_class = (real.edges - {(u0, w1), (u1, w0)}) | {(u0, u1), (w0, w1)}
+    with pytest.raises(NotAChord):
+        core.realization_from_global_edges(f3, same_class)
+    with pytest.raises(ValidationError):
+        core.realization_from_global_edges(f3, real.edges - {(u0, w1)})
+    assert len(f3.known_realizations) == 9
+
+
+def test_sampling_leaves_the_realization_index_empty():
+    inst = core.bipartite_instance(
+        [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
+    )
+    start = greedy_construct(inst)
+    run_chain(inst, start, 500, seed=1)
+    assert inst.known_realizations == {}
 
 
 # -- JSON round trip --------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rds_kit import core, counting
@@ -95,8 +95,12 @@ def star_matching_instances(draw):
     n_u = draw(st.integers(2, 4))
     n_w = draw(st.integers(2, 4))
     u_deg = draw(st.lists(st.integers(0, n_w), min_size=n_u, max_size=n_u))
-    w_deg = draw(st.lists(st.integers(0, n_u), min_size=n_w, max_size=n_w))
-    assume(sum(u_deg) == sum(w_deg))
+    # W-degrees in 0..n_u with the same total, drawn directly rather than filtered
+    left, w_deg = sum(u_deg), []
+    for j in range(n_w - 1, -1, -1):
+        d = draw(st.integers(max(0, left - n_u * j), min(n_u, left)))
+        w_deg.append(d)
+        left -= d
     center = draw(st.integers(0, n_u - 1))
     leaves = draw(st.sets(st.integers(0, n_w - 1)))
     w_perm = draw(st.permutations(range(n_w)))

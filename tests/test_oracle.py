@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rds_kit import core, oracle, swaps
-from rds_kit.errors import TooLarge
+from rds_kit.errors import TooLarge, TooManyStates
 
 from conftest import permutation_bruteforce, subset_bruteforce
 
@@ -24,6 +24,20 @@ def test_enumerate_guard():
     inst = core.bipartite_instance([1] * 7, [1] * 7)
     with pytest.raises(TooLarge):
         oracle.enumerate_all(inst, max_chords=40)
+
+
+def test_enumerate_state_guard_stops_early(monkeypatch):
+    inst = core.bipartite_instance([1] * 5, [1] * 5, matching=[(i, i) for i in range(5)])
+    built = []
+    real_build = oracle.realization_from_global_edges
+    monkeypatch.setattr(
+        oracle, "realization_from_global_edges", lambda i, e: built.append(1) or real_build(i, e)
+    )
+    with pytest.raises(TooManyStates):
+        oracle.enumerate_all(inst, max_states=3)
+    assert len(built) == 4  # stops at the first state past the guard, not at all 44
+    assert inst.known_realizations == {}
+    assert len(oracle.enumerate_all(inst, max_states=44)) == 44
 
 
 def test_enumerate_general_triangle_free_matching():

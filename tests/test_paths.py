@@ -1,7 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from rds_kit import chain, core, paths, swaps
+from rds_kit import chain, cli, core, oracle, paths, swaps
 from rds_kit.errors import AuditFailed, NotAMilestonePair, PreconditionViolated
 from rds_kit.oracle import enumerate_all
 
@@ -230,7 +233,7 @@ def test_switch_repair_case3_needs_three_switches():
         ],
         dtype=np.int8,
     )
-    m = paths.AuditMatrix(inst, values, core._forbidden_mask(inst))
+    m = core.ChordMatrix(inst, values, core._forbidden_mask(inst))
     assert list(m.column_sums()) == [2, 3, 3, 3, 3]
     switches, real = paths.switch_repair(m)
     assert len(switches) == 3
@@ -299,3 +302,47 @@ def test_verify_requires_half_regular():
     assert len(states) >= 2
     with pytest.raises(PreconditionViolated):
         paths.verify_theta_omega(states[0], states[1], states)
+
+
+# -- per-audit caches ---------------------------------------------------------------
+
+
+def test_audit_paths_builds_per_state_data_once(capsys, half_regular_5_path, monkeypatch):
+    """One audit-paths run: one mask, one matrix per state, no validation after enumeration."""
+    masks, matrices = [], Counter()
+    validations = {"before": 0, "during": 0, "after": 0}
+    phase = ["before"]
+
+    build_mask, build_matrix, check = core._forbidden_mask, core._matrix_values, core._check_edges
+    enumerate_all_ = oracle.enumerate_all
+
+    def count_mask(inst):
+        masks.append(inst)
+        return build_mask(inst)
+
+    def count_matrix(real):
+        matrices[real.key] += 1
+        return build_matrix(real)
+
+    def count_check(inst, edge_set):
+        validations[phase[0]] += 1
+        return check(inst, edge_set)
+
+    def enumerate_phase(*args, **kwargs):
+        phase[0] = "during"
+        try:
+            return enumerate_all_(*args, **kwargs)
+        finally:
+            phase[0] = "after"
+
+    monkeypatch.setattr(core, "_forbidden_mask", count_mask)
+    monkeypatch.setattr(core, "_matrix_values", count_matrix)
+    monkeypatch.setattr(core, "_check_edges", count_check)
+    monkeypatch.setattr(oracle, "enumerate_all", enumerate_phase)
+
+    assert cli.main(["audit-paths", half_regular_5_path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["states"] == 32 and report["ordered_pairs"] == 32 * 31
+    assert len(masks) == 1
+    assert len(matrices) == 32 and max(matrices.values()) == 1
+    assert validations == {"before": 0, "during": 32, "after": 0}
