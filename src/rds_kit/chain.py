@@ -1,4 +1,11 @@
-"""Lazy Markov chain over realizations: proposals, exact kernel, sampling.
+"""The chain's two moves, the lazy Markov chain, its exact kernel, sampling.
+
+This module is the one definition of a legal move.  :func:`try_c4` and
+:func:`try_c6` decide the 4-cycle swap on a U-pair and a W-pair and the
+forbidden-matching 6-cycle swap on two triples; :func:`legal_moves` lists
+every legal move at a state.  The finders of :mod:`rds_kit.swaps`, the
+audit's neighbour search in :mod:`rds_kit.paths` and the chain-move graph of
+:mod:`rds_kit.oracle` are all built on them.
 
 Each proposal is lazy with probability 1/2, with probability 1/4 draws an
 unordered U-pair and W-pair and applies the 4-cycle swap if legal, and with
@@ -10,8 +17,10 @@ stationary.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -58,7 +67,7 @@ def _distinct_draws(
     return list(zip(*((col + offset).tolist() for col in cols)))
 
 
-def _try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
+def try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
     """Chords to toggle for a legal 4-cycle move, else None."""
     a, b = upair
     c, d = wpair
@@ -71,7 +80,7 @@ def _try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
     return None
 
 
-def _try_c6(forbidden, edges, utriple, wtriple) -> tuple[Pair, ...] | None:
+def try_c6(forbidden, edges, utriple, wtriple) -> tuple[Pair, ...] | None:
     """Chords to toggle for a legal F-compatible 6-cycle move, else None."""
     partner = {}
     for u in utriple:
@@ -99,6 +108,23 @@ def _try_c6(forbidden, edges, utriple, wtriple) -> tuple[Pair, ...] | None:
             matched.add(u)
             matched.add(w)
     return tuple(hexagon)
+
+
+def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair, ...]]]:
+    """Every legal move at an edge set as (kind, chords to toggle).
+
+    4-cycle moves come first, then 6-cycle moves, each in the
+    lexicographic order of their U- and W-vertex tuples.
+    """
+    forbidden = inst.forbidden
+    us = range(inst.n_u)
+    ws = range(inst.n_u, inst.n_vertices)
+    for kind, r, try_move in (("c4", 2, try_c4), ("c6", 3, try_c6)):
+        for utuple in combinations(us, r):
+            for wtuple in combinations(ws, r):
+                toggle = try_move(forbidden, edges, utuple, wtuple)
+                if toggle is not None:
+                    yield kind, toggle
 
 
 def _advance(
@@ -134,10 +160,10 @@ def _advance(
         # without recording, lazy steps change nothing and are skipped
         for kind in (kinds if record_every else kinds[kinds >= _C4]).tolist():
             if kind == _C4:
-                toggle = _try_c4(forbidden, edges, u4[i4], w4[i4])
+                toggle = try_c4(forbidden, edges, u4[i4], w4[i4])
                 i4 += 1
             elif kind == _C6:
-                toggle = _try_c6(forbidden, edges, u6[i6], w6[i6])
+                toggle = try_c6(forbidden, edges, u6[i6], w6[i6])
                 i6 += 1
             else:
                 toggle = None
@@ -195,36 +221,30 @@ def run_chain(
 
 def classify_move(G: Realization, H: Realization) -> str | None:
     """'c4' or 'c6' when H is one legal chain move from G, else None."""
-    inst = G.instance
     delta = G.edges ^ H.edges
-    if len(delta) == 4:
-        us = {p[0] for p in delta}
-        ws = {p[1] for p in delta}
-        if len(us) == 2 and len(ws) == 2 and all(
-            (u, w) in delta for u in us for w in ws
-        ):
-            return "c4"
-        return None
-    if len(delta) == 6:
-        us = sorted({p[0] for p in delta})
-        ws = sorted({p[1] for p in delta})
-        if len(us) != 3 or len(ws) != 3:
-            return None
-        off = [(u, w) for u in us for w in ws if (u, w) not in delta]
-        if all(p in inst.forbidden for p in off):
-            return "c6"
+    us = tuple(sorted({p[0] for p in delta}))
+    ws = tuple(sorted({p[1] for p in delta}))
+    forbidden = G.instance.forbidden
+    if len(delta) == 4 and len(us) == len(ws) == 2:
+        return "c4" if try_c4(forbidden, G.edges, us, ws) is not None else None
+    if len(delta) == 6 and len(us) == len(ws) == 3:
+        return "c6" if try_c6(forbidden, G.edges, us, ws) is not None else None
     return None
+
+
+def _move_probability(inst: ProblemInstance, kind: str) -> Fraction:
+    """Probability that one proposal makes a given legal move of this kind."""
+    r = 2 if kind == "c4" else 3
+    return Fraction(1, 4) / (comb(inst.n_u, r) * comb(inst.n_w, r))
 
 
 def jump_probability(inst: ProblemInstance, G: Realization, H: Realization) -> Fraction:
     """Exact transition probability between two distinct adjacent realizations."""
     _require_chain_instance(inst)
     kind = classify_move(G, H)
-    if kind == "c4":
-        return Fraction(1, 4) / (comb(inst.n_u, 2) * comb(inst.n_w, 2))
-    if kind == "c6":
-        return Fraction(1, 4) / (comb(inst.n_u, 3) * comb(inst.n_w, 3))
-    raise NotAdjacent("realizations are not one chain move apart")
+    if kind is None:
+        raise NotAdjacent("realizations are not one chain move apart")
+    return _move_probability(inst, kind)
 
 
 @dataclass
@@ -297,16 +317,12 @@ def exact_kernel(inst: ProblemInstance, max_states: int = 4096) -> KernelReport:
     n = len(states)
     if n == 0:
         raise PreconditionViolated("instance is not graphical")
+    index = {s.edges: i for i, s in enumerate(states)}
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = classify_move(states[i], states[j])
-            if kind is None:
-                continue
-            p = jump_probability(inst, states[i], states[j])
-            rows[i][j] = p
-            rows[j][i] = p
-    for i in range(n):
+    for i, state in enumerate(states):
+        for kind, toggle in legal_moves(inst, state.edges):
+            j = index[state.edges.symmetric_difference(toggle)]
+            rows[i][j] = _move_probability(inst, kind)
         rows[i][i] = 1 - sum(rows[i])
     return KernelReport(
         inst,

@@ -12,8 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .chain import legal_moves
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
-from .errors import TooLarge, TooManyStates
+from .errors import PreconditionViolated, TooLarge, TooManyStates
 from .swaps import (
     ChordCircuit,
     CircularSwap,
@@ -259,22 +260,19 @@ def build_realization_graph(
     max_states: int | None = None,
 ) -> RealizationGraph:
     """Graph over all realizations under chain moves or all F-swaps (weighted)."""
+    if move_set == CHAIN_MOVES and not inst.is_bipartite_like:
+        raise PreconditionViolated("chain moves are defined for bipartite-kind instances")
     states = enumerate_all(inst, max_chords, max_states)
-    index = {s.key: i for i, s in enumerate(states)}
+    index = {s.edges: i for i, s in enumerate(states)}
     neighbors: dict[int, dict[int, int]] = {i: {} for i in range(len(states))}
     if move_set == CHAIN_MOVES:
-        from .chain import classify_move
-
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                if classify_move(states[i], states[j]) is not None:
-                    neighbors[i][j] = 1
-                    neighbors[j][i] = 1
+        for i, state in enumerate(states):
+            for _, toggle in legal_moves(inst, state.edges):
+                neighbors[i][index[state.edges.symmetric_difference(toggle)]] = 1
     elif move_set == ALL_FSWAPS:
         for i, state in enumerate(states):
             for sw in enumerate_fswaps(state):
-                target = (state.edges - sw.removes) | sw.adds
-                j = index[tuple(sorted(target))]
+                j = index[(state.edges - sw.removes) | sw.adds]
                 w = sw.weight
                 if j not in neighbors[i] or w < neighbors[i][j]:
                     neighbors[i][j] = w

@@ -7,7 +7,10 @@ matching 6-cycle chain moves.  Along the way the auxiliary matrix
 M_X + M_Y - M_Z is tracked; the audits check that it stays within one swap and
 at most three corner switches of a genuine realization matrix (Hamming
 distance at most 16), that bad entries stay confined to the sweep column, and
-that every cycle of length 2l costs exactly weight l-1.
+that every cycle of length 2l costs exactly weight l-1.  Which moves are legal
+is decided by :mod:`rds_kit.chain`: each step is checked with
+:func:`~rds_kit.chain.classify_move`, and the repair's one-move detour walks
+:func:`~rds_kit.chain.legal_moves`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import classify_move
+from .chain import classify_move, legal_moves
 from .core import (
     ChordMatrix,
     Pair,
@@ -84,9 +87,12 @@ def bad_positions(m: ChordMatrix) -> list[tuple[int, int, int]]:
 
 def audit_bad_positions(m: ChordMatrix) -> BadPositionReport:
     """Counts of 2 and -1 entries plus their column pattern."""
-    bads = bad_positions(m)
+    return _pattern(m.instance, bad_positions(m))
+
+
+def _pattern(inst: ProblemInstance, bads: list[tuple[int, int, int]]) -> BadPositionReport:
     columns = {u for u, _, _ in bads}
-    s = m.instance.effective_star_center
+    s = inst.effective_star_center
     return BadPositionReport(
         count2=sum(1 for _, _, v in bads if v == 2),
         count_minus1=sum(1 for _, _, v in bads if v == -1),
@@ -261,6 +267,7 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
                     move=move_kind,
                     swap=sw,
                     state=nxt,
+                    aux=mhat,
                     bad=audit_bad_positions(mhat),
                 )
             )
@@ -282,6 +289,7 @@ class PathStep:
     move: str
     swap: CircularSwap
     state: Realization
+    aux: ChordMatrix  # M_X + M_Y - M_state
     bad: BadPositionReport
     hamming_nearest: int | None = None
     repair_switches: int | None = None
@@ -375,21 +383,19 @@ def switch_repair(m: ChordMatrix, max_switches: int = 3) -> tuple[list[Switch], 
     off_center = [int(sums[u]) for u in range(inst.n_u) if u != s]
     if len(set(off_center)) > 1:
         raise PreconditionViolated("column sums differ away from the star center")
-    first = audit_bad_positions(m)
-    if not first.within_lemma_pattern:
+    bads = bad_positions(m)
+    if not _pattern(inst, bads).within_lemma_pattern:
         raise PreconditionViolated("bad-position pattern outside the repair lemma")
 
     work = m.copy()
     switches: list[Switch] = []
-    while True:
-        bads = bad_positions(work)
-        if not bads:
-            break
+    while bads:
         if len(switches) >= max_switches:
             raise AuditFailed("repair exceeded the switch budget")
         sw = _pick_switch(work, bads)
         _apply_switch(work, sw)
         switches.append(sw)
+        bads = bad_positions(work)
     chords = ~work.forbidden
     if (chords & (work.values != 0) & (work.values != 1)).any():
         raise AuditFailed("repair left a non-binary entry")
@@ -473,34 +479,6 @@ def _pick_switch(m: ChordMatrix, bads: list[tuple[int, int, int]]) -> Switch:
 # ---------------------------------------------------------------------------
 
 
-def _chain_neighbors(Z: Realization) -> list[Realization]:
-    """All states one legal chain move from Z."""
-    from itertools import combinations
-
-    from .chain import _try_c4, _try_c6
-
-    inst = Z.instance
-    edges = set(Z.edges)
-    out = []
-    us = range(inst.n_u)
-    ws = range(inst.n_u, inst.n_vertices)
-    for upair in combinations(us, 2):
-        for wpair in combinations(ws, 2):
-            toggle = _try_c4(inst.forbidden, edges, upair, wpair)
-            if toggle:
-                out.append(
-                    realization_from_global_edges(inst, edges ^ set(toggle))
-                )
-    for utr in combinations(us, 3):
-        for wtr in combinations(ws, 3):
-            toggle = _try_c6(inst.forbidden, edges, utr, wtr)
-            if toggle:
-                out.append(
-                    realization_from_global_edges(inst, edges ^ set(toggle))
-                )
-    return out
-
-
 def state_stack(states: list[Realization]) -> np.ndarray:
     """(S, n_w * n_u) stack of the states' matrices, for nearest-state searches."""
     return np.array([s.matrix.ravel() for s in states], dtype=np.int8)
@@ -543,7 +521,7 @@ def verify_theta_omega(
 
     max_h = 0
     for step in report.steps:
-        mhat = auxiliary_matrix(X, Y, step.state)
+        mhat = step.aux
         sums_ok = np.array_equal(mhat.column_sums(), col_target) and np.array_equal(
             mhat.row_sums(), row_target
         )
@@ -560,19 +538,18 @@ def verify_theta_omega(
             )
         # constructive route: at most one move away from the repairable pattern
         if step.bad.within_lemma_pattern:
-            swaps_used, base = 0, step.state
+            swaps_used, base = 0, mhat
         else:
-            base = None
-            for nb in _chain_neighbors(step.state):
-                if audit_bad_positions(auxiliary_matrix(X, Y, nb)).within_lemma_pattern:
-                    base = nb
+            edges = step.state.edges
+            for _, toggle in legal_moves(inst, edges):
+                nb = realization_from_global_edges(inst, edges.symmetric_difference(toggle))
+                base = auxiliary_matrix(X, Y, nb)
+                if audit_bad_positions(base).within_lemma_pattern:
                     break
-            if base is None:
+            else:
                 raise AuditFailed("no single move reaches the repairable pattern")
             swaps_used = 1
-        switches, repaired = switch_repair(
-            mhat if base is step.state else auxiliary_matrix(X, Y, base)
-        )
+        switches, repaired = switch_repair(base)
         constructive = mhat.hamming(adjacency_matrix(repaired))
         if constructive > HAMMING_BOUND or len(switches) > 3:
             raise AuditFailed("constructive repair exceeded the audit bound")

@@ -6,6 +6,10 @@ repeated occurrences sit at odd circuit distance (for bipartite instances this
 forces a simple cycle).  Applying an alternating circuit exchanges its edges
 and non-edges; the swap is F-compatible when every potential vertex pair of
 the circuit is forbidden, and carries weight i-1 for length 2i.
+
+The two chain moves are such swaps.  Their legality is defined once, in
+:mod:`rds_kit.chain`; :func:`find_c4_swap` and :func:`find_c6_fswap` ask that
+definition and only lay the move out as a circuit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .chain import try_c4, try_c6
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import (
     InvalidCircuit,
@@ -158,11 +163,8 @@ def apply_swap(real: Realization, sw: CircularSwap) -> Realization:
 
 
 def find_c4_swap(real: Realization, u_pair, w_pair) -> CircularSwap | None:
-    """The unique 4-cycle swap on two U- and two W-vertices, if legal.
-
-    Requires all four cross pairs to be chords and the current edges among
-    them to form a perfect matching on the four vertices.
-    """
+    """The 4-cycle chain move on two U- and two W-vertices, if
+    :func:`rds_kit.chain.try_c4` finds it legal."""
     inst = real.instance
     a, b = sorted(int(v) for v in u_pair)
     c, d = sorted(int(v) for v in w_pair)
@@ -172,25 +174,14 @@ def find_c4_swap(real: Realization, u_pair, w_pair) -> CircularSwap | None:
         raise PreconditionViolated("u_pair is not a pair of U-vertices")
     if not (inst.vertex_class(c) == inst.vertex_class(d) == "W"):
         raise PreconditionViolated("w_pair is not a pair of W-vertices")
-    pairs = [(a, c), (a, d), (b, c), (b, d)]
-    if any(not inst.is_chord(*p) for p in pairs):
+    if try_c4(inst.forbidden, real.edges, (a, b), (c, d)) is None:
         return None
-    e = {p: p in real.edges for p in pairs}
-    if e[(a, c)] and e[(b, d)] and not e[(a, d)] and not e[(b, c)]:
-        circ = make_circuit(inst, (a, c, b, d))
-    elif e[(a, d)] and e[(b, c)] and not e[(a, c)] and not e[(b, d)]:
-        circ = make_circuit(inst, (a, d, b, c))
-    else:
-        return None
-    return swap_from_circuit(real, circ)
+    return swap_from_circuit(real, make_circuit(inst, (a, c, b, d)))
 
 
 def find_c6_fswap(real: Realization, u_triple, w_triple) -> CircularSwap | None:
-    """The unique F-compatible 6-cycle swap on two vertex triples, if legal.
-
-    Exists when the forbidden pairs between the triples form a perfect
-    matching and the remaining six chords alternate around the hexagon.
-    """
+    """The forbidden-matching 6-cycle chain move on two vertex triples, if
+    :func:`rds_kit.chain.try_c6` finds it legal."""
     inst = real.instance
     us = sorted(int(v) for v in u_triple)
     ws = sorted(int(v) for v in w_triple)
@@ -200,34 +191,14 @@ def find_c6_fswap(real: Realization, u_triple, w_triple) -> CircularSwap | None:
         inst.vertex_class(v) != "W" for v in ws
     ):
         raise PreconditionViolated("triples must come from U and W respectively")
-    partner: dict[int, int] = {}
-    for u in us:
-        forb = [w for w in ws if not inst.is_chord(u, w)]
-        if len(forb) != 1:
-            return None
-        partner[u] = forb[0]
-    if len(set(partner.values())) != 3:
+    hexagon = try_c6(inst.forbidden, real.edges, us, ws)
+    if hexagon is None:
         return None
-    # walk the hexagon left by removing the perfect matching from K_{3,3}
-    u0 = us[0]
-    w_first = min(w for w in ws if w != partner[u0])
-    seq = [u0, w_first]
-    while len(seq) < 6:
-        if len(seq) % 2 == 0:
-            u_prev, w_cur = seq[-2], seq[-1]
-            nxt = next(u for u in us if u != u_prev and partner[u] != w_cur)
-        else:
-            w_prev = seq[-2] if len(seq) > 2 else None
-            u_cur = seq[-1]
-            nxt = next(
-                w for w in ws if w != partner[u_cur] and w != w_prev and w != seq[1]
-            )
-        seq.append(nxt)
-    circ = make_circuit(inst, seq)
-    try:
-        return swap_from_circuit(real, circ)
-    except NotAlternating:
-        return None
+    # the forbidden partner of each u is the one w the hexagon leaves out
+    p = {u: next(w for w in ws if (u, w) not in hexagon) for u in us}
+    u0, u1, u2 = us
+    circ = make_circuit(inst, (u0, p[u1], u2, p[u0], u1, p[u2]))
+    return swap_from_circuit(real, circ)
 
 
 def elementary_circuit_to_fswaps(

@@ -10,6 +10,7 @@ import json
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from rds_kit import core
 
@@ -44,6 +45,14 @@ def f4():
 def f5():
     """2x2 instance that validates fine but has no realization."""
     return core.bipartite_instance([2, 1], [1, 2], matching=[(0, 0), (1, 1)])
+
+
+@pytest.fixture
+def roadmap_4x4():
+    """u = w = [2]*4, star u0 -> {w1}, matching (1, 2) and (2, 3); 15 realizations."""
+    return core.bipartite_instance(
+        [2] * 4, [2] * 4, star_center=0, star_leaves=[1], matching=[(1, 2), (2, 3)]
+    )
 
 
 @pytest.fixture
@@ -108,3 +117,23 @@ def digraph_bruteforce(out_deg, in_deg) -> set[frozenset]:
             if outs == list(out_deg) and ins == list(in_deg):
                 found.add(frozenset(subset))
     return found
+
+
+@st.composite
+def star_matching_instances(draw):
+    """Small bipartite instances with a star at some U-vertex and a matching."""
+    n_u = draw(st.integers(2, 4))
+    n_w = draw(st.integers(2, 4))
+    u_deg = draw(st.lists(st.integers(0, n_w), min_size=n_u, max_size=n_u))
+    # W-degrees in 0..n_u with the same total, drawn directly rather than filtered
+    left, w_deg = sum(u_deg), []
+    for j in range(n_w - 1, -1, -1):
+        d = draw(st.integers(max(0, left - n_u * j), min(n_u, left)))
+        w_deg.append(d)
+        left -= d
+    center = draw(st.integers(0, n_u - 1))
+    leaves = draw(st.sets(st.integers(0, n_w - 1)))
+    w_perm = draw(st.permutations(range(n_w)))
+    size = draw(st.integers(0, min(n_u, n_w)))
+    matching = [(i, w_perm[i]) for i in range(size)]
+    return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)

@@ -1,14 +1,18 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from rds_kit import chain, construct, core
 from rds_kit.errors import InstanceTooSmall, NotAdjacent, TooManyStates
 from rds_kit.oracle import enumerate_all
+
+from conftest import star_matching_instances
 
 
 def test_propose_step_stays_in_state_space(f2, f2_reals):
@@ -138,6 +142,65 @@ def test_exact_kernel_f3_doubly_stochastic(f3):
     uniform = [Fraction(1, n)] * n
     for j in range(n):
         assert sum(uniform[i] * report.matrix[i][j] for i in range(n)) == Fraction(1, n)
+
+
+def _pairwise_kind(inst, G, H):
+    """The move kind read off the symmetric difference alone, independently of the chain."""
+    delta = G.edges ^ H.edges
+    us = {u for u, _ in delta}
+    ws = {w for _, w in delta}
+    if len(delta) == 4 and len(us) == len(ws) == 2:
+        return "c4"
+    if len(delta) == 6 and len(us) == len(ws) == 3:
+        off = [(u, w) for u in us for w in ws if (u, w) not in delta]
+        if all(not inst.is_chord(*p) for p in off):
+            return "c6"
+    return None
+
+
+def _assert_moves_and_kernel_match_pairwise(inst):
+    states = enumerate_all(inst)
+    if not states:
+        return
+    n = len(states)
+    kinds = [[_pairwise_kind(inst, G, H) for H in states] for G in states]
+    for i, G in enumerate(states):
+        generated = {
+            (G.edges.symmetric_difference(toggle), kind)
+            for kind, toggle in chain.legal_moves(inst, G.edges)
+        }
+        pairwise = {(H.edges, k) for H, k in zip(states, kinds[i]) if k is not None}
+        assert generated == pairwise
+
+    def prob(kind):
+        if kind is None:
+            return Fraction(0)
+        r = 2 if kind == "c4" else 3  # a pair or a triple per class, drawn with probability 1/4
+        return Fraction(1, 4) / (comb(inst.n_u, r) * comb(inst.n_w, r))
+
+    rows = [[prob(k) for k in row] for row in kinds]
+    for i in range(n):
+        rows[i][i] = 1 - sum(rows[i])
+    assert chain.exact_kernel(inst).matrix == tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_matching_instances())
+def test_legal_moves_and_kernel_match_pairwise_property(inst):
+    _assert_moves_and_kernel_match_pairwise(inst)
+
+
+def test_legal_moves_and_kernel_match_pairwise_with_c6_moves(f2, f3, roadmap_4x4):
+    """Fixed instances with many states and with 6-cycle moves, which small drawn ones rarely have."""
+    half_regular_5x5 = core.bipartite_instance(  # 32 states, 198 c4 and 2 c6 moves
+        [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
+    )
+    mixed = core.bipartite_instance(  # 7 states, 16 c4 and 4 c6 moves
+        [2, 1, 1, 1], [1, 2, 1, 1], star_center=0, star_leaves=[0],
+        matching=[(1, 1), (2, 2), (3, 3)],
+    )
+    for inst in (f2, f3, roadmap_4x4, half_regular_5x5, mixed):
+        _assert_moves_and_kernel_match_pairwise(inst)
 
 
 def test_exact_kernel_guard(f3):

@@ -128,8 +128,9 @@ def test_audit_paths_max_states_stops_enumeration(capsys, half_regular_5_path, m
     assert len(built) == 3 < 32
 
 
-def test_audit_paths_verbose_matches_golden(capsys, tmp_path):
-    """The ROADMAP 4x4 instance (15 states); the golden report predates the audit caches."""
+@pytest.fixture
+def roadmap_4x4_path(tmp_path):
+    """The ROADMAP 4x4 instance: u = w = [2]*4, star u0 -> {w1}, matching (1, 2), (2, 3)."""
     p = tmp_path / "roadmap4x4.json"
     p.write_text(
         json.dumps(
@@ -143,8 +144,20 @@ def test_audit_paths_verbose_matches_golden(capsys, tmp_path):
             }
         )
     )
-    assert cli.main(["audit-paths", str(p), "--verbose"]) == 0
+    return str(p)
+
+
+def test_audit_paths_verbose_matches_golden(capsys, roadmap_4x4_path):
+    """15 states; the golden report predates the audit caches."""
+    assert cli.main(["audit-paths", roadmap_4x4_path, "--verbose"]) == 0
     golden = (DATA / "audit_paths_roadmap_4x4_verbose.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_kernel_matches_golden(capsys, roadmap_4x4_path):
+    """The golden report predates building the kernel from generated moves."""
+    assert cli.main(["kernel", roadmap_4x4_path]) == 0
+    golden = (DATA / "kernel_roadmap_4x4.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
 

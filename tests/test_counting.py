@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rds_kit import core, counting
 from rds_kit.errors import Exhausted
 from rds_kit.oracle import enumerate_all
 
-from conftest import subset_bruteforce
+from conftest import star_matching_instances, subset_bruteforce
 
 
 # -- branch_split -------------------------------------------------------------
@@ -87,26 +86,6 @@ def test_exact_count_branch_agrees_with_enumeration(f1, f2, f3, f4, f5):
     assert counting.exact_count(roadmap_4x4) == 15
     for inst in (f1, f2, f3, f4, f5, roadmap_4x4, half_regular_5x5):
         assert counting.exact_count(inst, method="branch") == counting.exact_count(inst)
-
-
-@st.composite
-def star_matching_instances(draw):
-    """Small bipartite instances with a star at some U-vertex and a matching."""
-    n_u = draw(st.integers(2, 4))
-    n_w = draw(st.integers(2, 4))
-    u_deg = draw(st.lists(st.integers(0, n_w), min_size=n_u, max_size=n_u))
-    # W-degrees in 0..n_u with the same total, drawn directly rather than filtered
-    left, w_deg = sum(u_deg), []
-    for j in range(n_w - 1, -1, -1):
-        d = draw(st.integers(max(0, left - n_u * j), min(n_u, left)))
-        w_deg.append(d)
-        left -= d
-    center = draw(st.integers(0, n_u - 1))
-    leaves = draw(st.sets(st.integers(0, n_w - 1)))
-    w_perm = draw(st.permutations(range(n_w)))
-    size = draw(st.integers(0, min(n_u, n_w)))
-    matching = [(i, w_perm[i]) for i in range(size)]
-    return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)
 
 
 @settings(max_examples=150, deadline=None)

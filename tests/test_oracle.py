@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rds_kit import core, oracle, swaps
-from rds_kit.errors import TooLarge, TooManyStates
+from rds_kit.errors import PreconditionViolated, TooLarge, TooManyStates
 
 from conftest import permutation_bruteforce, subset_bruteforce
 
@@ -45,6 +45,13 @@ def test_enumerate_general_triangle_free_matching():
     got = {r.edges for r in oracle.enumerate_all(inst)}
     assert got == set(subset_bruteforce(inst))
     assert frozenset({(0, 1), (2, 3)}) not in got
+
+
+def test_realization_graph_chain_moves_needs_bipartite_kind():
+    inst = core.general_instance([1, 1, 1, 1])
+    with pytest.raises(PreconditionViolated):
+        oracle.build_realization_graph(inst, oracle.CHAIN_MOVES)
+    assert oracle.build_realization_graph(inst, oracle.ALL_FSWAPS).size == 3
 
 
 def test_realization_graph_chain_moves(f2, f3, f4):

@@ -157,11 +157,11 @@ def test_find_c6_fswap_needs_alternation():
     assert swaps.find_c6_fswap(real, (0, 1, 2), (inst.w(0), inst.w(1), inst.w(2))) is None
 
 
-def test_move_finders_against_pattern_bruteforce(f2, f3):
+def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
     """Absent exactly when no legal move exists on those vertices."""
     from itertools import combinations
 
-    for inst in (f2, f3):
+    for inst in (f2, f3, roadmap_4x4):
         for real in enumerate_all(inst):
             for upair in combinations(range(inst.n_u), 2):
                 for wpair in combinations(range(inst.n_u, inst.n_vertices), 2):
@@ -177,9 +177,20 @@ def test_move_finders_against_pattern_bruteforce(f2, f3):
             for utr in combinations(range(inst.n_u), 3):
                 for wtr in combinations(range(inst.n_u, inst.n_vertices), 3):
                     sw = swaps.find_c6_fswap(real, utr, wtr)
+                    pairs = [(u, w) for u in utr for w in wtr]
+                    forbidden = [p for p in pairs if not inst.is_chord(*p)]
+                    hexagon = [p for p in pairs if inst.is_chord(*p)]
+                    es = [p for p in hexagon if p in real.edges]
+                    # the forbidden pairs, and the edges among the other six
+                    # chords, each form a perfect matching of the six vertices
+                    legal = all(
+                        len(ms) == 3 and len({v for e in ms for v in e}) == 6
+                        for ms in (forbidden, es)
+                    )
+                    assert (sw is not None) == legal
                     if sw is not None:
                         after = swaps.apply_swap(real, sw)
-                        assert len(after.edges ^ real.edges) == 6
+                        assert after.edges ^ real.edges == set(hexagon)
 
 
 # -- circuit decomposition into F-swaps --------------------------------------
