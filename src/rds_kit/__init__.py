@@ -21,7 +21,7 @@ from .core import (
     to_directed,
     validate_instance,
 )
-from .construct import NeighborOrder, greedy_construct, is_graphical, neighbor_order, repair_swap
+from .construct import greedy_construct, is_graphical, neighbor_order, repair_swap
 from .swaps import (
     ChordCircuit,
     CircularSwap,
@@ -38,12 +38,9 @@ from .swaps import (
     swap_from_circuit,
 )
 from .chain import (
-    ChainState,
     KernelReport,
     exact_kernel,
     jump_probability,
-    make_chain_state,
-    propose_step,
     run_chain,
 )
 from .oracle import (

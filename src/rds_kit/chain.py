@@ -178,34 +178,6 @@ def _advance(
     return recorded
 
 
-@dataclass
-class ChainState:
-    """A single walker: current realization, step counter, its own generator."""
-
-    realization: Realization
-    seed: int
-    steps: int
-    rng: np.random.Generator
-
-
-def make_chain_state(realization: Realization, seed: int) -> ChainState:
-    _require_chain_instance(realization.instance)
-    return ChainState(realization, seed, 0, np.random.Generator(np.random.Philox(seed)))
-
-
-def propose_step(state: ChainState) -> ChainState:
-    """One proposal; returns a new state sharing the generator."""
-    inst = state.realization.instance
-    edges = set(state.realization.edges)
-    _advance(inst, edges, 1, state.rng)
-    return ChainState(
-        realization_from_global_edges(inst, edges),
-        state.seed,
-        state.steps + 1,
-        state.rng,
-    )
-
-
 def run_chain(
     inst: ProblemInstance, start: Realization, steps: int, seed: int
 ) -> Realization:
@@ -221,6 +193,8 @@ def run_chain(
 
 def classify_move(G: Realization, H: Realization) -> str | None:
     """'c4' or 'c6' when H is one legal chain move from G, else None."""
+    if not G.instance.is_bipartite_like:
+        raise PreconditionViolated("chain moves are defined for bipartite-kind instances")
     delta = G.edges ^ H.edges
     us = tuple(sorted({p[0] for p in delta}))
     ws = tuple(sorted({p[1] for p in delta}))

@@ -7,11 +7,14 @@ forbidden partner has the larger residual degree, because that partner's
 options shrink fastest.  Deleted partners count as absent, and exact ties are
 re-broken away from pairs already spent in the same step (general instances
 can hold both endpoints of a forbidden pair in one neighbourhood).
+
+:func:`neighbor_order` ranks the partners as plain sort keys
+``(-degree, -partner_degree, vertex, partner)``, so one ``list.sort()`` puts
+them in processing order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import ProblemInstance, Realization, norm_pair, realization_from_global_edges
@@ -19,25 +22,6 @@ from .errors import NotNormal, PreconditionViolated
 from .swaps import CircularSwap, make_circuit, swap_from_circuit
 
 ABSENT_PARTNER_DEGREE = -1
-
-
-@dataclass(frozen=True)
-class NeighborEntry:
-    vertex: int
-    degree: int
-    partner: int | None
-    partner_degree: int
-
-
-@dataclass(frozen=True)
-class NeighborOrder:
-    """Chord neighbourhood of ``anchor`` in processing order."""
-
-    anchor: int
-    entries: tuple[NeighborEntry, ...]
-
-    def vertices(self) -> list[int]:
-        return [e.vertex for e in self.entries]
 
 
 def _alive_partner(
@@ -52,63 +36,59 @@ def _alive_partner(
 
 def neighbor_order(
     inst: ProblemInstance, x: int, residuals: Mapping[int, int]
-) -> NeighborOrder:
-    """Order the alive chord partners of x for the greedy step.
+) -> list[tuple[int, int, int, int | None]]:
+    """The alive chord partners of x as (-degree, -partner degree, vertex, partner), sorted.
 
     ``residuals`` maps alive vertices to remaining degrees; vertices missing
     from it are deleted.  Raises NotNormal if some neighbour has two alive
     forbidden partners or two neighbours share one.
     """
-    entries = []
+    order = []
     seen_partners: dict[int, int] = {}
     for y in inst.chords_at(x):
         if y not in residuals:
             continue
         partner = _alive_partner(inst, y, residuals)
-        if partner is not None:
-            if partner in seen_partners and seen_partners[partner] != y:
+        if partner is None:
+            pdeg = ABSENT_PARTNER_DEGREE
+        else:
+            if seen_partners.setdefault(partner, y) != y:
                 raise NotNormal(
                     f"vertices {seen_partners[partner]} and {y} share forbidden partner {partner}"
                 )
-            seen_partners[partner] = y
-        pdeg = residuals[partner] if partner is not None else ABSENT_PARTNER_DEGREE
-        entries.append(NeighborEntry(y, residuals[y], partner, pdeg))
-    entries.sort(key=lambda e: (-e.degree, -e.partner_degree, e.vertex))
-    return NeighborOrder(x, tuple(entries))
+            pdeg = residuals[partner]
+        order.append((-residuals[y], -pdeg, y, partner))
+    order.sort()  # vertices are distinct, so partners are never compared
+    return order
 
 
-def _select_neighbors(order: NeighborOrder, need: int) -> list[NeighborEntry] | None:
-    """The first `need` entries, re-breaking exact ties away from spent pairs.
+def _select_neighbors(
+    order: list[tuple[int, int, int, int | None]], need: int
+) -> list[int] | None:
+    """The first `need` vertices of the order, re-breaking exact ties away from spent pairs.
 
     On general instances both endpoints of a forbidden pair can sit in one
     neighbourhood; taking both wastes the exclusion and can strand the other
-    pairs, so within a (degree, partner-degree) tie a candidate whose partner
-    was already selected goes last.  Bipartite neighbourhoods never contain a
-    partner, so there the result is exactly the order prefix.
+    pairs, so within a (degree, partner-degree) tie the first candidate whose
+    partner is not yet chosen goes first.  Bipartite neighbourhoods never
+    contain a partner, so there the result is exactly the order prefix.
     """
-    pool = list(order.entries)
-    chosen: list[NeighborEntry] = []
-    chosen_vertices: set[int] = set()
+    pool = list(order)
+    chosen: list[int] = []
     while len(chosen) < need:
         if not pool:
             return None
-        # the pool stays in order, so its head wins unless its partner is spent
         best = 0
-        if pool[0].partner in chosen_vertices:
-            best = min(
-                range(len(pool)),
-                key=lambda i: (
-                    -pool[i].degree,
-                    -pool[i].partner_degree,
-                    pool[i].partner in chosen_vertices,
-                    pool[i].vertex,
-                ),
-            )
-        entry = pool.pop(best)
-        if entry.degree <= 0:
+        for i, (neg_deg, neg_pdeg, _, partner) in enumerate(pool):
+            if (neg_deg, neg_pdeg) != pool[0][:2]:
+                break
+            if partner not in chosen:
+                best = i
+                break
+        neg_deg, _, y, _ = pool.pop(best)
+        if neg_deg >= 0:
             return None
-        chosen.append(entry)
-        chosen_vertices.add(entry.vertex)
+        chosen.append(y)
     return chosen
 
 
@@ -118,25 +98,18 @@ def greedy_construct(inst: ProblemInstance) -> Realization | None:
     Deterministic: the star center (U-index 0 when unset) goes first, then the
     remaining vertices ascending; bipartite kinds only process the U class.
     """
-    if inst.is_bipartite_like:
-        process = [inst.effective_star_center] + [
-            u for u in range(inst.n_u) if u != inst.effective_star_center
-        ]
-    else:
-        process = [inst.effective_star_center] + [
-            v for v in range(inst.n_vertices) if v != inst.effective_star_center
-        ]
+    center = inst.effective_star_center
+    last = inst.n_u if inst.is_bipartite_like else inst.n_vertices
+    process = [center] + [v for v in range(last) if v != center]
     residuals = {v: inst.degree(v) for v in range(inst.n_vertices)}
     edges: set[tuple[int, int]] = set()
     for x in process:
-        need = residuals[x]
-        order = neighbor_order(inst, x, residuals)
-        chosen = _select_neighbors(order, need)
+        chosen = _select_neighbors(neighbor_order(inst, x, residuals), residuals[x])
         if chosen is None:
             return None
-        for e in chosen:
-            edges.add(norm_pair(x, e.vertex))
-            residuals[e.vertex] -= 1
+        for y in chosen:
+            edges.add(norm_pair(x, y))
+            residuals[y] -= 1
         del residuals[x]
     if any(residuals.values()):
         return None
@@ -158,11 +131,11 @@ def repair_swap(real: Realization, x: int, y: int, z: int) -> CircularSwap:
     inst = real.instance
     residuals = {v: inst.degree(v) for v in range(inst.n_vertices)}
     order = neighbor_order(inst, x, residuals)  # raises NotNormal if not normal
-    keys = {e.vertex: (e.degree, e.partner_degree) for e in order.entries}
+    keys = {v: (neg_deg, neg_pdeg) for neg_deg, neg_pdeg, v, _ in order}
     if y not in keys or z not in keys:
         raise PreconditionViolated("y and z must be chord partners of x")
-    # some valid order must put y first: its degree pair may not lose to z's
-    if keys[y] < keys[z]:
+    # some valid order must put y first: its sort key may not exceed z's
+    if keys[y] > keys[z]:
         raise PreconditionViolated("z strictly precedes y in every neighbour order of x")
     if not real.has_edge(x, z) or real.has_edge(x, y) or not inst.is_chord(x, y):
         raise PreconditionViolated("need xz an edge and xy a non-edge chord")

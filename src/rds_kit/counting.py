@@ -45,25 +45,18 @@ def _delete_u_vertex(inst: ProblemInstance, s: int) -> ProblemInstance:
     )
 
 
-def _with_star_leaf(inst: ProblemInstance, s: int, w_global: int) -> ProblemInstance:
-    leaves = sorted(j - inst.n_u for j in (set(inst.star_leaves) | {w_global}))
-    return bipartite_instance(
-        inst.u_degrees,
-        inst.w_degrees,
-        star_center=s,
-        star_leaves=leaves,
-        matching=[(a, b - inst.n_u) for a, b in inst.matching],
-        kind=KIND_BIPARTITE,
-    )
-
-
-def _decremented(inst: ProblemInstance, s: int, w_global: int) -> ProblemInstance | None:
-    if inst.degree(s) < 1 or inst.degree(w_global) < 1:
-        return None
+def _branch_child(
+    inst: ProblemInstance, s: int, w_global: int, present: bool
+) -> ProblemInstance | None:
+    """The branch on chord (s, w): w joins the star of s, and the present
+    branch also spends one degree of s and of w (None if either has none)."""
     u_deg = list(inst.u_degrees)
     w_deg = list(inst.w_degrees)
-    u_deg[s] -= 1
-    w_deg[w_global - inst.n_u] -= 1
+    if present:
+        if u_deg[s] < 1 or w_deg[w_global - inst.n_u] < 1:
+            return None
+        u_deg[s] -= 1
+        w_deg[w_global - inst.n_u] -= 1
     leaves = sorted(j - inst.n_u for j in (set(inst.star_leaves) | {w_global}))
     return bipartite_instance(
         u_deg,
@@ -105,9 +98,7 @@ def branch_split(
     if not chords:
         raise Exhausted(f"center {s} has positive degree but no chords")
     v = chords[0]
-    absent = _with_star_leaf(work, s, v)
-    present = _decremented(work, s, v)
-    return (s, v), absent, present
+    return (s, v), _branch_child(work, s, v, False), _branch_child(work, s, v, True)
 
 
 def exact_count(inst: ProblemInstance, max_chords: int = 40, method: str = "enumerate") -> int:

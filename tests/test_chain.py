@@ -9,38 +9,27 @@ from hypothesis import given, settings
 from scipy import stats
 
 from rds_kit import chain, construct, core
-from rds_kit.errors import InstanceTooSmall, NotAdjacent, TooManyStates
+from rds_kit.errors import InstanceTooSmall, NotAdjacent, PreconditionViolated, TooManyStates
 from rds_kit.oracle import enumerate_all
 
 from conftest import star_matching_instances
 
 
-def test_propose_step_stays_in_state_space(f2, f2_reals):
+def test_run_chain_reaches_both_states(f2, f2_reals):
     ra, rb = f2_reals
-    keys = {ra.key, rb.key}
-    state = chain.make_chain_state(ra, seed=13)
-    seen = set()
-    for _ in range(200):
-        state = chain.propose_step(state)
-        assert state.realization.key in keys
-        seen.add(state.realization.key)
-    assert seen == keys  # the 6-cycle move does fire
-    assert state.steps == 200
-
-
-def test_propose_step_single_state_instance(f4):
-    r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
-    state = chain.make_chain_state(r4, seed=5)
-    for _ in range(50):
-        state = chain.propose_step(state)
-        assert state.realization.key == r4.key
+    seen = {
+        chain.run_chain(f2, ra, steps, seed=seed).key
+        for seed in range(20)
+        for steps in (1, 5, 20)
+    }
+    assert seen == {ra.key, rb.key}  # no run leaves the state space, and the 6-cycle move fires
 
 
 def test_chain_requires_two_per_class():
     inst = core.bipartite_instance([1], [1])
     real = core.make_realization(inst, [(0, 0)])
     with pytest.raises(InstanceTooSmall):
-        chain.make_chain_state(real, seed=0)
+        chain.run_chain(inst, real, 1, seed=0)
 
 
 def test_jump_probability_values(f2, f2_reals, f3):
@@ -80,6 +69,16 @@ def test_jump_probability_not_adjacent(f3):
         chain.jump_probability(f3, G, H)
 
 
+def test_classify_move_refuses_general_instances():
+    inst = core.general_instance([1, 1, 1, 1])
+    states = enumerate_all(inst)
+    assert len(states) == 3
+    for G in states:
+        for H in states:
+            with pytest.raises(PreconditionViolated):
+                chain.classify_move(G, H)
+
+
 def test_run_chain_zero_steps(f2, f2_reals):
     ra, _ = f2_reals
     assert chain.run_chain(f2, ra, 0, seed=3).key == ra.key
@@ -107,7 +106,9 @@ def test_run_chain_f2_frequency(f2, f2_reals):
 
 def test_run_chain_single_state(f4):
     r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
-    assert chain.run_chain(f4, r4, 1000, seed=0).key == r4.key
+    for seed in range(5):
+        for steps in (1, 50, 1000):
+            assert chain.run_chain(f4, r4, steps, seed=seed).key == r4.key
 
 
 def test_exact_kernel_f2(f2):

@@ -161,6 +161,38 @@ def test_kernel_matches_golden(capsys, roadmap_4x4_path):
     assert capsys.readouterr().out == golden
 
 
+def _half_regular(n, d):
+    """u = w = [d]*n, star u0 -> {w1}, matching (i, i) for i = 1..n-1."""
+    return {
+        "kind": "bipartite",
+        "u_degrees": [d] * n,
+        "w_degrees": [d] * n,
+        "star_center": 0,
+        "star_leaves": [1],
+        "matching": [[i, i] for i in range(1, n)],
+    }
+
+
+def test_construct_matches_golden(capsys, tmp_path):
+    """The half-regular ladder and a general instance whose degrees tie completely.
+
+    The golden reports, concatenated in this order, predate ranking the
+    greedy's neighbours with plain sort keys.
+    """
+    instances = [_half_regular(n, d) for n in (10, 30, 100, 150) for d in (3, 10)]
+    instances.append(
+        {"kind": "general", "degrees": [1, 1, 1, 1, 2], "star_center": 4, "matching": [[0, 1], [2, 3]]}
+    )
+    reports = []
+    for i, inst in enumerate(instances):
+        p = tmp_path / f"construct_{i}.json"
+        p.write_text(json.dumps(inst))
+        assert cli.main(["construct", str(p)]) in (0, 1)
+        reports.append(capsys.readouterr().out)
+    golden = (DATA / "construct_reports.txt").read_text(encoding="utf-8")
+    assert "".join(reports) == golden
+
+
 def test_convert_directed(capsys, tmp_path):
     p = tmp_path / "D.json"
     p.write_text(json.dumps({"kind": "directed", "out_degrees": [1, 1], "in_degrees": [1, 1]}))

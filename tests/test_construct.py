@@ -10,28 +10,34 @@ from conftest import subset_bruteforce
 # -- neighbor_order ---------------------------------------------------------
 
 
+def _vertices(order):
+    """The vertices of a neighbour order, in order."""
+    return [v for _, _, v, _ in order]
+
+
 def test_neighbor_order_partner_tiebreak(f2):
     # after u0-w1 is placed and u0 deleted: w2 must come before w0
     residuals = {1: 1, 2: 1, f2.w(0): 1, f2.w(1): 0, f2.w(2): 1}
     order = construct.neighbor_order(f2, 1, residuals)
-    assert order.vertices() == [f2.w(2), f2.w(0)]
-    entries = {e.vertex: e for e in order.entries}
-    assert entries[f2.w(0)].partner is None  # deleted u0 counts as absent
-    assert entries[f2.w(0)].partner_degree == construct.ABSENT_PARTNER_DEGREE
-    assert entries[f2.w(2)].partner == 2
+    assert _vertices(order) == [f2.w(2), f2.w(0)]
+    entries = {v: (p, -neg_pdeg) for _, neg_pdeg, v, p in order}
+    partner, partner_degree = entries[f2.w(0)]
+    assert partner is None  # deleted u0 counts as absent
+    assert partner_degree == construct.ABSENT_PARTNER_DEGREE
+    assert entries[f2.w(2)][0] == 2
 
 
 def test_neighbor_order_degree_descending():
     inst = core.bipartite_instance([2, 1, 1], [3, 1], matching=[])
     residuals = {v: inst.degree(v) for v in range(inst.n_vertices)}
     order = construct.neighbor_order(inst, 0, residuals)
-    assert order.vertices() == [inst.w(0), inst.w(1)]  # degrees 3 > 1
+    assert _vertices(order) == [inst.w(0), inst.w(1)]  # degrees 3 > 1
 
 
 def test_neighbor_order_f4_star_center(f4):
     residuals = {v: f4.degree(v) for v in range(f4.n_vertices)}
     order = construct.neighbor_order(f4, 0, residuals)
-    assert order.vertices() == [f4.w(1), f4.w(2)]
+    assert _vertices(order) == [f4.w(1), f4.w(2)]
 
 
 def test_neighbor_order_not_normal():
@@ -54,7 +60,7 @@ def test_neighbor_order_shared_partner_not_normal():
         construct.neighbor_order(inst, 1, residuals)
     # the center itself sees a normal neighbourhood
     order = construct.neighbor_order(inst, 0, residuals)
-    assert order.vertices() == [inst.w(2)]
+    assert _vertices(order) == [inst.w(2)]
 
 
 # -- greedy_construct -------------------------------------------------------
@@ -162,25 +168,20 @@ def _alive_partner_by_scan(inst, y, residuals):
 
 def _select_by_min(order, need):
     """Reference: re-rank the whole pool before every pick."""
-    pool = list(order.entries)
-    chosen, chosen_vertices = [], set()
+    pool = list(order)
+    chosen = []
     while len(chosen) < need:
         if not pool:
             return None
-        best = min(
-            range(len(pool)),
-            key=lambda i: (
-                -pool[i].degree,
-                -pool[i].partner_degree,
-                pool[i].partner in chosen_vertices,
-                pool[i].vertex,
-            ),
+        neg_deg, _, v, _ = pool.pop(
+            min(
+                range(len(pool)),
+                key=lambda i: (pool[i][0], pool[i][1], pool[i][3] in chosen, pool[i][2]),
+            )
         )
-        entry = pool.pop(best)
-        if entry.degree <= 0:
+        if -neg_deg <= 0:
             return None
-        chosen.append(entry)
-        chosen_vertices.add(entry.vertex)
+        chosen.append(v)
     return chosen
 
 
@@ -262,6 +263,13 @@ def test_repair_swap_precondition_violations(f3):
         construct.repair_swap(real, 0, f3.w(1), f3.w(2))  # xz not an edge
     with pytest.raises(PreconditionViolated):
         construct.repair_swap(real, 0, f3.w(0), f3.w(1))  # xy is forbidden
+    # w0's partner u1 is alive and w2 has none, so w0 ranks first at u0 and u2
+    inst = core.bipartite_instance([1, 1, 1], [1, 1, 1], matching=[(1, 0), (2, 1)])
+    real = core.make_realization(inst, [(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(PreconditionViolated, match="strictly precedes"):
+        construct.repair_swap(real, 0, inst.w(2), inst.w(0))
+    sw = construct.repair_swap(real, 2, inst.w(0), inst.w(2))
+    assert sw.removes == {(0, inst.w(0)), (2, inst.w(2))}
 
 
 def test_repair_swap_lemma_exhaustive():
