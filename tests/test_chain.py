@@ -104,6 +104,15 @@ def test_run_chain_f2_frequency(f2, f2_reals):
     assert 0.42 <= hits / n <= 0.58
 
 
+def test_propose_step_single_state_instance(f4):
+    # every single proposal on F4 is rejected, so one-step runs chained together never move
+    r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
+    state = r4
+    for seed in range(50):
+        state = chain.run_chain(f4, state, 1, seed=seed)
+        assert state.key == r4.key
+
+
 def test_run_chain_single_state(f4):
     r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
     for seed in range(5):
