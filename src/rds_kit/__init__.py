@@ -28,8 +28,6 @@ from .swaps import (
     apply_swap,
     decompose_symmetric_difference,
     elementary_circuit_to_fswaps,
-    find_c4_swap,
-    find_c6_fswap,
     is_f_compatible,
     make_circuit,
     max_alternating_circuit_count,

@@ -3,8 +3,8 @@
 This module is the one definition of a legal move.  :func:`try_c4` and
 :func:`try_c6` decide the 4-cycle swap on a U-pair and a W-pair and the
 forbidden-matching 6-cycle swap on two triples; :func:`legal_moves` lists
-every legal move at a state.  The finders of :mod:`rds_kit.swaps`, the
-audit's neighbour search in :mod:`rds_kit.paths` and the chain-move graph of
+every legal move at a state.  The canonical-path sweep and the audit's
+neighbour search in :mod:`rds_kit.paths` and the chain-move graph of
 :mod:`rds_kit.oracle` are all built on them.
 
 Each proposal is lazy with probability 1/2, with probability 1/4 draws an

@@ -84,19 +84,19 @@ class ProblemInstance:
 
     # -- sizes ---------------------------------------------------------
 
-    @property
+    @cached_property
     def n_u(self) -> int:
         return len(self.u_degrees)
 
-    @property
+    @cached_property
     def n_w(self) -> int:
         return len(self.w_degrees)
 
-    @property
+    @cached_property
     def n_vertices(self) -> int:
         return len(self.u_degrees) + len(self.w_degrees)
 
-    @property
+    @cached_property
     def is_bipartite_like(self) -> bool:
         return self.kind in (KIND_BIPARTITE, KIND_DIRECTED)
 

@@ -218,12 +218,6 @@ class RealizationGraph:
     def size(self) -> int:
         return len(self.states)
 
-    def index_of(self, real: Realization) -> int:
-        for i, s in enumerate(self.states):
-            if s.key == real.key:
-                return i
-        raise KeyError("realization is not a state of this graph")
-
     def is_connected(self) -> bool:
         if self.size <= 1:
             return True

@@ -8,9 +8,10 @@ M_X + M_Y - M_Z is tracked; the audits check that it stays within one swap and
 at most three corner switches of a genuine realization matrix (Hamming
 distance at most 16), that bad entries stay confined to the sweep column, and
 that every cycle of length 2l costs exactly weight l-1.  Which moves are legal
-is decided by :mod:`rds_kit.chain`: each step is checked with
-:func:`~rds_kit.chain.classify_move`, and the repair's one-move detour walks
-:func:`~rds_kit.chain.legal_moves`.
+is decided by :mod:`rds_kit.chain`: the sweep builds each step with
+:func:`~rds_kit.chain.try_c4` or :func:`~rds_kit.chain.try_c6`, each step's
+state is checked again with :func:`~rds_kit.chain.classify_move`, and the
+repair's one-move detour walks :func:`~rds_kit.chain.legal_moves`.
 """
 
 from __future__ import annotations
@@ -19,30 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import classify_move, legal_moves
+from .chain import classify_move, legal_moves, try_c4, try_c6
 from .core import (
     ChordMatrix,
     Pair,
     ProblemInstance,
     Realization,
     adjacency_matrix,
-    norm_pair,
     realization_from_global_edges,
 )
-from .errors import (
-    AuditFailed,
-    NotAlternating,
-    NotAMilestonePair,
-    PreconditionViolated,
-)
-from .swaps import (
-    ChordCircuit,
-    CircularSwap,
-    decompose_symmetric_difference,
-    make_circuit,
-    pv_pairs,
-    swap_from_circuit,
-)
+from .errors import AuditFailed, NotAMilestonePair, PreconditionViolated
+from .swaps import ChordCircuit, decompose_symmetric_difference
 
 HAMMING_BOUND = 16  # one swap (4 positions) plus three switches (4 each)
 
@@ -155,89 +143,78 @@ def _oriented_cycle(G: Realization, cycle: ChordCircuit) -> tuple[list[int], lis
 
 def sweep_cycle(
     G: Realization, G_next: Realization, cycle: ChordCircuit
-) -> list[CircularSwap]:
+) -> list[tuple[str, tuple[Pair, ...]]]:
     """Chain moves from one milestone to the next along a single cycle.
 
     Walks the cycle from the pivot u_1: each iteration locates the lowest
     unprocessed G-edge in the pivot's column (the start-chord) and sweeps it
     back to the previous boundary with single steps, detouring through a
     6-cycle double step whenever the position below the start-chord is the
-    pivot's forbidden partner.  Total emitted weight is l-1.
+    pivot's forbidden partner.  Moves come as (kind, chords to toggle), as
+    :func:`~rds_kit.chain.legal_moves` yields them, and each is built by
+    :func:`~rds_kit.chain.try_c4` or :func:`~rds_kit.chain.try_c6`.  Total
+    emitted weight is l-1.
     """
     inst = G.instance
     if G.edges ^ G_next.edges != set(cycle.chords):
         raise NotAMilestonePair("realizations do not differ by exactly this cycle")
     us, ws = _oriented_cycle(G, cycle)
     ell = len(us)
-    moves: list[CircularSwap] = []
-    cur = G
+    forbidden = inst.forbidden
+    edges = set(G.edges)
+    moves: list[tuple[str, tuple[Pair, ...]]] = []
 
-    def emit(vertices: tuple[int, ...]) -> None:
-        nonlocal cur
-        sw = swap_from_circuit(cur, make_circuit(inst, vertices))
-        moves.append(sw)
-        cur = realization_from_global_edges(
-            inst, (cur.edges - sw.removes) | sw.adds
-        )
+    def emit(kind: str, utuple: tuple[int, ...], wtuple: tuple[int, ...]) -> None:
+        toggle = (try_c4 if kind == "c4" else try_c6)(forbidden, edges, utuple, wtuple)
+        if toggle is None:
+            raise AuditFailed(f"sweep step is not a legal {kind} move")
+        moves.append((kind, toggle))
+        edges.symmetric_difference_update(toggle)
 
     u1 = us[0]
     boundary = 0  # index into ws: end-chord of the current iteration
     while True:
-        start = next(
-            i for i in range(boundary + 1, ell) if cur.has_edge(u1, ws[i])
-        )
+        start = next(i for i in range(boundary + 1, ell) if (u1, ws[i]) in edges)
         j = start
         while j > boundary:
             below = ws[j - 1]
             if inst.is_chord(u1, below):
-                emit((u1, below, us[j], ws[j]))
+                emit("c4", (u1, us[j]), (below, ws[j]))
                 j -= 1
             else:
-                _double_step(emit, cur, inst, u1, us, ws, j)
+                _double_step(emit, inst, edges, u1, us, ws, j)
                 j -= 2
         if start == ell - 1:
             break
         boundary = start
-    if cur.key != G_next.key:
+    if edges != G_next.edges:
         raise AuditFailed("sweep did not land on the target milestone")
     return moves
 
 
-def _double_step(emit, cur: Realization, inst: ProblemInstance, u1, us, ws, j) -> None:
+def _double_step(emit, inst: ProblemInstance, edges, u1, us, ws, j) -> None:
     """Process two sweep positions around the pivot's forbidden partner.
 
-    The probed 6-cycle is (u1, w_{j-2}, u_{j-1}, w_{j-1}, u_j, w_j); with all
-    potential pairs forbidden it is one 6-cycle move, otherwise it splits at a
-    potential pair that is a chord into two 4-cycle moves, whichever
-    alternates going first.
+    The hexagon is (u1, w_{j-2}, u_{j-1}, w_{j-1}, u_j, w_j).  It splits into
+    two 4-cycle moves at w_{j-2}-u_j if that is a chord, else at u_{j-1}-w_j
+    if that is one; the outer 4-cycle goes first when it is a legal move now.
+    With neither a chord it is one 6-cycle move.
     """
     w_cur, w_mid, w_top = ws[j - 2], ws[j - 1], ws[j]
     u_mid, u_top = us[j - 1], us[j]
-    hexagon = (u1, w_cur, u_mid, w_mid, u_top, w_top)
-    circ = make_circuit(inst, hexagon)
-    chord_pvs = [p for p in pv_pairs(circ) if inst.is_chord(*p)]
-    if not chord_pvs:
-        emit(hexagon)
+    if inst.is_chord(u_top, w_cur):
+        outer = ((u1, u_top), (w_cur, w_top))
+        inner = ((u_mid, u_top), (w_cur, w_mid))
+    elif inst.is_chord(u_mid, w_top):
+        outer = ((u1, u_mid), (w_cur, w_top))
+        inner = ((u_mid, u_top), (w_mid, w_top))
+    else:
+        emit("c6", (u1, u_mid, u_top), (w_cur, w_mid, w_top))
         return
-    low_pair = norm_pair(w_cur, u_top)
-    probe = low_pair if low_pair in chord_pvs else chord_pvs[0]
-    if probe == low_pair:
-        outer = (u1, w_cur, u_top, w_top)
-        inner = (w_cur, u_mid, w_mid, u_top)
-    else:  # the chord joins u_{j-1} and w_j
-        outer = (u1, w_cur, u_mid, w_top)
-        inner = (u_mid, w_mid, u_top, w_top)
-
-    def alternates(vertices: tuple[int, ...]) -> bool:
-        try:
-            swap_from_circuit(cur, make_circuit(inst, vertices))
-            return True
-        except NotAlternating:
-            return False
-
-    first, second = (outer, inner) if alternates(outer) else (inner, outer)
-    emit(first)
-    emit(second)
+    legal_now = try_c4(inst.forbidden, edges, *outer) is not None
+    first, second = (outer, inner) if legal_now else (inner, outer)
+    emit("c4", *first)
+    emit("c4", *second)
 
 
 def canonical_path(X: Realization, Y: Realization) -> "PathReport":
@@ -251,27 +228,26 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
     steps: list[PathStep] = []
     cycle_weights: list[tuple[int, int]] = []
     for idx, cyc in enumerate(cycles):
-        moves = sweep_cycle(miles[idx], miles[idx + 1], cyc)
-        cycle_weights.append((cyc.length // 2, sum(m.weight for m in moves)))
+        first = len(steps)
         cur = miles[idx]
-        for sw in moves:
+        for kind, toggle in sweep_cycle(cur, miles[idx + 1], cyc):
             nxt = realization_from_global_edges(
-                cur.instance, (cur.edges - sw.removes) | sw.adds
+                cur.instance, cur.edges.symmetric_difference(toggle)
             )
-            move_kind = classify_move(cur, nxt)
-            if move_kind is None:
+            if classify_move(cur, nxt) != kind:
                 raise AuditFailed("sweep emitted a move outside the chain's move set")
             mhat = auxiliary_matrix(X, Y, nxt)
             steps.append(
                 PathStep(
-                    move=move_kind,
-                    swap=sw,
+                    move=kind,
+                    toggle=toggle,
                     state=nxt,
                     aux=mhat,
                     bad=audit_bad_positions(mhat),
                 )
             )
             cur = nxt
+        cycle_weights.append((cyc.length // 2, sum(st.weight for st in steps[first:])))
     theta_ok = all(w == l - 1 for l, w in cycle_weights)
     return PathReport(
         source=X,
@@ -287,13 +263,18 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
 @dataclass
 class PathStep:
     move: str
-    swap: CircularSwap
+    toggle: tuple[Pair, ...]  # the chords the move flips
     state: Realization
     aux: ChordMatrix  # M_X + M_Y - M_state
     bad: BadPositionReport
     hamming_nearest: int | None = None
     repair_switches: int | None = None
     repair_swaps: int | None = None
+
+    @property
+    def weight(self) -> int:
+        """i-1 for a move along a circuit of length 2i."""
+        return len(self.toggle) // 2 - 1
 
 
 @dataclass
@@ -326,7 +307,7 @@ class PathReport:
             "moves": [
                 {
                     "move": st.move,
-                    "weight": st.swap.weight,
+                    "weight": st.weight,
                     "count2": st.bad.count2,
                     "count_minus1": st.bad.count_minus1,
                     "same_column": st.bad.same_column,

@@ -7,9 +7,11 @@ forces a simple cycle).  Applying an alternating circuit exchanges its edges
 and non-edges; the swap is F-compatible when every potential vertex pair of
 the circuit is forbidden, and carries weight i-1 for length 2i.
 
-The two chain moves are such swaps.  Their legality is defined once, in
-:mod:`rds_kit.chain`; :func:`find_c4_swap` and :func:`find_c6_fswap` ask that
-definition and only lay the move out as a circuit.
+The two chain moves are such swaps, but they are defined, built and applied
+as chord toggles in :mod:`rds_kit.chain`.  The circuits here serve the
+general F-swaps: symmetric-difference decompositions, the greedy's repair
+circuits, the F-swap enumeration of :mod:`rds_kit.oracle` and the swap
+distance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import try_c4, try_c6
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import (
     InvalidCircuit,
@@ -160,45 +161,6 @@ def apply_swap(real: Realization, sw: CircularSwap) -> Realization:
     return realization_from_global_edges(
         real.instance, (real.edges - sw.removes) | sw.adds
     )
-
-
-def find_c4_swap(real: Realization, u_pair, w_pair) -> CircularSwap | None:
-    """The 4-cycle chain move on two U- and two W-vertices, if
-    :func:`rds_kit.chain.try_c4` finds it legal."""
-    inst = real.instance
-    a, b = sorted(int(v) for v in u_pair)
-    c, d = sorted(int(v) for v in w_pair)
-    if a == b or c == d:
-        raise PreconditionViolated("need two distinct vertices per class")
-    if not (inst.vertex_class(a) == inst.vertex_class(b) == "U"):
-        raise PreconditionViolated("u_pair is not a pair of U-vertices")
-    if not (inst.vertex_class(c) == inst.vertex_class(d) == "W"):
-        raise PreconditionViolated("w_pair is not a pair of W-vertices")
-    if try_c4(inst.forbidden, real.edges, (a, b), (c, d)) is None:
-        return None
-    return swap_from_circuit(real, make_circuit(inst, (a, c, b, d)))
-
-
-def find_c6_fswap(real: Realization, u_triple, w_triple) -> CircularSwap | None:
-    """The forbidden-matching 6-cycle chain move on two vertex triples, if
-    :func:`rds_kit.chain.try_c6` finds it legal."""
-    inst = real.instance
-    us = sorted(int(v) for v in u_triple)
-    ws = sorted(int(v) for v in w_triple)
-    if len(set(us)) != 3 or len(set(ws)) != 3:
-        raise PreconditionViolated("need three distinct vertices per class")
-    if any(inst.vertex_class(v) != "U" for v in us) or any(
-        inst.vertex_class(v) != "W" for v in ws
-    ):
-        raise PreconditionViolated("triples must come from U and W respectively")
-    hexagon = try_c6(inst.forbidden, real.edges, us, ws)
-    if hexagon is None:
-        return None
-    # the forbidden partner of each u is the one w the hexagon leaves out
-    p = {u: next(w for w in ws if (u, w) not in hexagon) for u in us}
-    u0, u1, u2 = us
-    circ = make_circuit(inst, (u0, p[u1], u2, p[u0], u1, p[u2]))
-    return swap_from_circuit(real, circ)
 
 
 def elementary_circuit_to_fswaps(

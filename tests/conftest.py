@@ -137,3 +137,34 @@ def star_matching_instances(draw):
     size = draw(st.integers(0, min(n_u, n_w)))
     matching = [(i, w_perm[i]) for i in range(size)]
     return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)
+
+
+@st.composite
+def half_regular_instances(draw):
+    """Graphical half-regular 4-5 x 3-5 instances with a star and a matching of size >= 3.
+
+    The W-degrees are read off a drawn edge set, so every draw is graphical.
+    Every U-vertex off the star center has one degree d, below its chord
+    count, and the center a degree below its own when it has two or more
+    chords, so most draws have several realizations, and about a third have
+    6-cycle moves.
+    """
+    n_u = draw(st.integers(4, 5))
+    n_w = draw(st.integers(3, 5))
+    center = draw(st.integers(0, n_u - 1))
+    leaves = draw(st.sets(st.integers(0, n_w - 1), max_size=2))
+    size = draw(st.integers(3, min(n_u, n_w)))
+    u_perm = draw(st.permutations(range(n_u)))
+    w_perm = draw(st.permutations(range(n_w)))
+    matching = [(u_perm[i], w_perm[i]) for i in range(size)]
+    forbidden = set(matching) | {(center, j) for j in leaves}
+    chords = [[j for j in range(n_w) if (i, j) not in forbidden] for i in range(n_u)]
+    d = draw(st.integers(1, min(len(c) - 1 for i, c in enumerate(chords) if i != center)))
+    u_deg = [d] * n_u
+    lo = min(1, len(chords[center]))
+    u_deg[center] = draw(st.integers(lo, max(lo, len(chords[center]) - 1)))
+    w_deg = [0] * n_w
+    for i in range(n_u):
+        for j in draw(st.permutations(chords[i]))[: u_deg[i]]:
+            w_deg[j] += 1
+    return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)

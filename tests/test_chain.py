@@ -12,7 +12,7 @@ from rds_kit import chain, construct, core
 from rds_kit.errors import InstanceTooSmall, NotAdjacent, PreconditionViolated, TooManyStates
 from rds_kit.oracle import enumerate_all
 
-from conftest import star_matching_instances
+from conftest import half_regular_instances, star_matching_instances
 
 
 def test_run_chain_reaches_both_states(f2, f2_reals):
@@ -197,6 +197,12 @@ def _assert_moves_and_kernel_match_pairwise(inst):
 @settings(max_examples=100, deadline=None)
 @given(star_matching_instances())
 def test_legal_moves_and_kernel_match_pairwise_property(inst):
+    _assert_moves_and_kernel_match_pairwise(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_regular_instances())
+def test_legal_moves_and_kernel_match_pairwise_half_regular_property(inst):
     _assert_moves_and_kernel_match_pairwise(inst)
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from rds_kit import cli, oracle
+from rds_kit import cli, oracle, paths
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,6 +153,29 @@ def test_audit_paths_verbose_matches_golden(capsys, roadmap_4x4_path):
     assert cli.main(["audit-paths", roadmap_4x4_path, "--verbose"]) == 0
     golden = (DATA / "audit_paths_roadmap_4x4_verbose.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+# SHA-256 of `rds-kit audit-paths --verbose` on u = w = [3]*5, star u0 -> {w1},
+# matching (i, i) for i = 1..4, as reported before the sweep built its moves
+# with try_c4/try_c6 (1,515,991 bytes, too large to commit as a golden file).
+HALF_REGULAR_5_AUDIT_SHA256 = "53f87ad71ff0259acfd2d20730387bad22f2bf62a762c3d30bc7fee2bbc58aa3"
+
+
+def test_audit_paths_verbose_digest_on_half_regular_5(capsys, half_regular_5_path, monkeypatch):
+    """32 states; unlike the 4x4 golden, this reaches the sweep's single 6-cycle move."""
+    sweep_c6 = []
+    try_c6 = paths.try_c6
+
+    def counting_try_c6(*args):
+        toggle = try_c6(*args)
+        sweep_c6.append(toggle)
+        return toggle
+
+    monkeypatch.setattr(paths, "try_c6", counting_try_c6)
+    assert cli.main(["audit-paths", half_regular_5_path, "--verbose"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == HALF_REGULAR_5_AUDIT_SHA256
+    assert len(sweep_c6) == 6 and all(t is not None for t in sweep_c6)
 
 
 def test_kernel_matches_golden(capsys, roadmap_4x4_path):

@@ -3,10 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rds_kit import chain, cli, core, oracle, paths, swaps
 from rds_kit.errors import AuditFailed, NotAMilestonePair, PreconditionViolated
 from rds_kit.oracle import enumerate_all
+
+from conftest import half_regular_instances
 
 
 # -- decomposition / milestones ----------------------------------------------
@@ -54,21 +58,27 @@ def test_milestones_every_intermediate_valid(f3):
 # -- sweep --------------------------------------------------------------------
 
 
+def _weight(toggle):
+    """i-1 for a move that toggles the 2i chords of a circuit."""
+    return len(toggle) // 2 - 1
+
+
 def test_sweep_c4_single_move():
     inst = core.bipartite_instance([1, 1], [1, 1])
     G = core.make_realization(inst, [(0, 0), (1, 1)])
     H = core.make_realization(inst, [(0, 1), (1, 0)])
     [cycle] = paths.ordered_cycle_decomposition(G, H)
     moves = paths.sweep_cycle(G, H, cycle)
-    assert len(moves) == 1 and moves[0].weight == 1
+    assert [(kind, _weight(toggle)) for kind, toggle in moves] == [("c4", 1)]
+    assert set(moves[0][1]) == G.edges ^ H.edges
 
 
 def test_sweep_f2_c6_single_fswap(f2, f2_reals):
     ra, rb = f2_reals
     [cycle] = paths.ordered_cycle_decomposition(ra, rb)
     moves = paths.sweep_cycle(ra, rb, cycle)
-    assert len(moves) == 1 and moves[0].weight == 2
-    assert moves[0].f_compatible
+    assert [(kind, _weight(toggle)) for kind, toggle in moves] == [("c6", 2)]
+    assert set(moves[0][1]) == ra.edges ^ rb.edges
 
 
 def test_sweep_unrestricted_c6_two_c4s():
@@ -78,7 +88,7 @@ def test_sweep_unrestricted_c6_two_c4s():
     [cycle] = paths.ordered_cycle_decomposition(G, H)
     assert cycle.length == 6
     moves = paths.sweep_cycle(G, H, cycle)
-    assert [m.weight for m in moves] == [1, 1]
+    assert [(kind, _weight(toggle)) for kind, toggle in moves] == [("c4", 1), ("c4", 1)]
 
 
 def test_sweep_weight_is_half_length_minus_one(f3):
@@ -90,7 +100,7 @@ def test_sweep_weight_is_half_length_minus_one(f3):
             for i, cyc in enumerate(paths.ordered_cycle_decomposition(X, Y)):
                 miles = paths.milestones(X, Y, paths.ordered_cycle_decomposition(X, Y))
                 moves = paths.sweep_cycle(miles[i], miles[i + 1], cyc)
-                assert sum(m.weight for m in moves) == cyc.length // 2 - 1
+                assert sum(_weight(toggle) for _, toggle in moves) == cyc.length // 2 - 1
 
 
 def test_sweep_rejects_wrong_cycle(f3):
@@ -128,6 +138,31 @@ def test_canonical_path_steps_are_kernel_moves(f3):
         assert chain.classify_move(cur, step.state) == step.move
         cur = step.state
     assert cur.key == Y.key
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_regular_instances(), st.data())
+def test_canonical_path_kinds_and_audit_property(inst, data):
+    """On drawn pairs each step is the chain move the sweep named, and the audit passes."""
+    states = enumerate_all(inst)
+    index = st.integers(0, len(states) - 1)
+    for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8)):
+        X, Y = states[i], states[j]
+        cycles = paths.ordered_cycle_decomposition(X, Y)
+        miles = paths.milestones(X, Y, cycles)
+        swept = [
+            kind
+            for k, cyc in enumerate(cycles)
+            for kind, _ in paths.sweep_cycle(miles[k], miles[k + 1], cyc)
+        ]
+        rep = paths.verify_theta_omega(X, Y, states)
+        classified, cur = [], X
+        for step in rep.steps:
+            classified.append(chain.classify_move(cur, step.state))
+            cur = step.state
+        assert classified == swept == [step.move for step in rep.steps]
+        assert cur.key == Y.key
+        assert rep.theta_ok and rep.omega_ok and rep.max_hamming <= paths.HAMMING_BOUND
 
 
 # -- auxiliary matrix ---------------------------------------------------------

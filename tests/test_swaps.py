@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rds_kit import core, swaps
+from rds_kit import chain, core, swaps
 from rds_kit.errors import (
     InvalidCircuit,
     NotAChord,
     NotAlternating,
     NotElementary,
-    PreconditionViolated,
     TooLarge,
 )
 from rds_kit.oracle import build_realization_graph, enumerate_all, ALL_FSWAPS
@@ -109,44 +108,37 @@ def test_apply_swap_preserves_degrees_everywhere(f3):
             assert not (after.edges & f3.forbidden)
 
 
-# -- move finders -----------------------------------------------------------
+# -- chain moves as toggles --------------------------------------------------
 
 
 def test_find_c4_absent_on_forbidden(f2, f2_reals):
     ra, _ = f2_reals
-    assert swaps.find_c4_swap(ra, (0, 1), (f2.w(1), f2.w(2))) is None
+    assert chain.try_c4(f2.forbidden, ra.edges, (0, 1), (f2.w(1), f2.w(2))) is None
 
 
 def test_find_c4_absent_on_f3(f3):
     real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert swaps.find_c4_swap(real, (0, 1), (f3.w(0), f3.w(1))) is None
+    assert chain.try_c4(f3.forbidden, real.edges, (0, 1), (f3.w(0), f3.w(1))) is None
 
 
 def test_find_c4_unrestricted(open2x2):
     real = core.make_realization(open2x2, [(0, 0), (1, 1)])
-    sw = swaps.find_c4_swap(real, (0, 1), (2, 3))
-    assert sw is not None and sw.weight == 1
-    assert swaps.apply_swap(real, sw).to_pairs() == [[0, 1], [1, 0]]
-
-
-def test_find_c4_bad_input(open2x2):
-    real = core.make_realization(open2x2, [(0, 0), (1, 1)])
-    with pytest.raises(PreconditionViolated):
-        swaps.find_c4_swap(real, (0, 0), (2, 3))
-    with pytest.raises(PreconditionViolated):
-        swaps.find_c4_swap(real, (0, 2), (1, 3))  # classes mixed
+    toggle = chain.try_c4(open2x2.forbidden, real.edges, (0, 1), (2, 3))
+    assert toggle is not None and len(toggle) // 2 - 1 == 1
+    after = core.realization_from_global_edges(open2x2, real.edges.symmetric_difference(toggle))
+    assert after.to_pairs() == [[0, 1], [1, 0]]
 
 
 def test_find_c6_fswap_f2(f2, f2_reals):
     ra, rb = f2_reals
-    sw = swaps.find_c6_fswap(ra, (0, 1, 2), (f2.w(0), f2.w(1), f2.w(2)))
-    assert sw is not None
-    assert swaps.apply_swap(ra, sw).key == rb.key
+    toggle = chain.try_c6(f2.forbidden, ra.edges, (0, 1, 2), (f2.w(0), f2.w(1), f2.w(2)))
+    assert toggle is not None
+    assert ra.edges.symmetric_difference(toggle) == rb.edges
 
 
 def test_find_c6_fswap_needs_perfect_forbidden_matching(f3):
     real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    got = swaps.find_c6_fswap(real, (0, 1, 2), (f3.w(0), f3.w(1), f3.w(3)))
+    got = chain.try_c6(f3.forbidden, real.edges, (0, 1, 2), (f3.w(0), f3.w(1), f3.w(3)))
     assert got is None
 
 
@@ -154,18 +146,19 @@ def test_find_c6_fswap_needs_alternation():
     inst = core.bipartite_instance([2, 2, 2], [2, 2, 2], matching=[(0, 0), (1, 1), (2, 2)])
     real = core.make_realization(inst, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
     # hexagon chords are all edges: no alternation
-    assert swaps.find_c6_fswap(real, (0, 1, 2), (inst.w(0), inst.w(1), inst.w(2))) is None
+    wtriple = (inst.w(0), inst.w(1), inst.w(2))
+    assert chain.try_c6(inst.forbidden, real.edges, (0, 1, 2), wtriple) is None
 
 
 def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
-    """Absent exactly when no legal move exists on those vertices."""
+    """try_c4/try_c6 refuse exactly when no legal move exists on those vertices."""
     from itertools import combinations
 
     for inst in (f2, f3, roadmap_4x4):
         for real in enumerate_all(inst):
             for upair in combinations(range(inst.n_u), 2):
                 for wpair in combinations(range(inst.n_u, inst.n_vertices), 2):
-                    sw = swaps.find_c4_swap(real, upair, wpair)
+                    toggle = chain.try_c4(inst.forbidden, real.edges, upair, wpair)
                     pairs = [(u, w) for u in upair for w in wpair]
                     legal = all(inst.is_chord(*p) for p in pairs) and sorted(
                         p in real.edges for p in pairs
@@ -173,10 +166,12 @@ def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
                     if legal:
                         es = {p for p in pairs if p in real.edges}
                         legal = len({v for e in es for v in e}) == 4
-                    assert (sw is not None) == legal
+                    assert (toggle is not None) == legal
+                    if toggle is not None:
+                        assert set(toggle) == set(pairs)
             for utr in combinations(range(inst.n_u), 3):
                 for wtr in combinations(range(inst.n_u, inst.n_vertices), 3):
-                    sw = swaps.find_c6_fswap(real, utr, wtr)
+                    toggle = chain.try_c6(inst.forbidden, real.edges, utr, wtr)
                     pairs = [(u, w) for u in utr for w in wtr]
                     forbidden = [p for p in pairs if not inst.is_chord(*p)]
                     hexagon = [p for p in pairs if inst.is_chord(*p)]
@@ -187,9 +182,12 @@ def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
                         len(ms) == 3 and len({v for e in ms for v in e}) == 6
                         for ms in (forbidden, es)
                     )
-                    assert (sw is not None) == legal
-                    if sw is not None:
-                        after = swaps.apply_swap(real, sw)
+                    assert (toggle is not None) == legal
+                    if toggle is not None:
+                        assert set(toggle) == set(hexagon)
+                        after = core.realization_from_global_edges(
+                            inst, real.edges.symmetric_difference(toggle)
+                        )
                         assert after.edges ^ real.edges == set(hexagon)
 
 
