@@ -13,6 +13,14 @@ probability 1/4 draws unordered triples and applies the forbidden-matching
 6-cycle swap if legal.  Failed proposals are self-loops, so the kernel is
 symmetric with diagonal at least 1/2 and the uniform distribution is
 stationary.
+
+The walker holds a state as flat 0/1 cells in the ``(n_w, n_u)`` layout of
+:attr:`Realization.matrix`, so (u, j) is cell ``j * n_u + u``.  For each
+block of draws, numpy lists the cells of every move, its even cells then its
+odd cells, and drops the draws that are never legal: a 4-cycle on a
+forbidden cell, a 6-cycle whose forbidden 3x3 block is not a permutation.
+A listed move is legal iff its even cells agree, its odd cells agree and the
+two values differ, which is what :func:`try_c4`/:func:`try_c6` decide.
 """
 
 from __future__ import annotations
@@ -46,10 +54,8 @@ def _require_chain_instance(inst: ProblemInstance) -> None:
         raise InstanceTooSmall("chain proposals need at least 2 vertices per class")
 
 
-def _distinct_draws(
-    rng: np.random.Generator, n: int, size: int, r: int, offset: int
-) -> list[tuple[int, ...]]:
-    """`size` uniform ordered r-tuples (r = 2 or 3) of distinct ints in [offset, offset + n).
+def _distinct_draws(rng: np.random.Generator, n: int, size: int, r: int) -> np.ndarray:
+    """`size` uniform ordered r-tuples (r = 2 or 3) of distinct ints in [0, n), as rows.
 
     Each later index is drawn from the values left and shifted past the ones
     already taken, so no draw is rejected.  Every unordered set is equally
@@ -64,7 +70,7 @@ def _distinct_draws(
         c += c >= np.minimum(a, b)
         c += c >= np.maximum(a, b)
         cols.append(c)
-    return list(zip(*((col + offset).tolist() for col in cols)))
+    return np.array(cols).T
 
 
 def try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
@@ -127,55 +133,89 @@ def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair,
                     yield kind, toggle
 
 
+def _block_rows(inst: ProblemInstance, kinds, u4, w4, u6, w6) -> tuple[list, np.ndarray]:
+    """Cells of a block's moves that can ever be legal, in step order, and their steps.
+
+    ``u4``/``w4`` hold the pairs and ``u6``/``w6`` the triples (class-local
+    indices) of the block's 4-cycle and 6-cycle steps.  A row lists its
+    even cells, then its odd cells.  A 4-cycle on a forbidden cell and a
+    6-cycle whose forbidden 3x3 block is not a permutation are dropped.
+    """
+    n_u, mask = inst.n_u, inst.forbidden_mask
+    # pairs (a, b) and (c, d): evens (a, c), (b, d), odds (a, d), (b, c)
+    cells4 = w4[:, [0, 1, 1, 0]] * n_u + u4[:, [0, 1, 0, 1]]
+    live4 = ~mask.ravel()[cells4].any(axis=1)
+    block = mask[w6[:, :, None], u6[:, None, :]]  # [m, i, k]: w6[m, i] is forbidden with u6[m, k]
+    live6 = (block.sum(axis=1) == 1).all(axis=1) & (block.sum(axis=2) == 1).all(axis=1)
+    partner = (block[live6] * w6[live6, :, None]).sum(axis=1)  # [m, k]: partner of u6[m, k]
+    # triples (x, y, z) with partners s(.): the hexagon x - s(y) - z - s(x) - y - s(z)
+    cells6 = partner[:, [1, 0, 2, 1, 0, 2]] * n_u + u6[live6][:, [0, 2, 1, 2, 1, 0]]
+    steps = np.concatenate([np.flatnonzero(kinds == _C4)[live4], np.flatnonzero(kinds == _C6)[live6]])
+    order = np.argsort(steps)
+    rows = cells4[live4].tolist() + cells6.tolist()
+    return [rows[i] for i in order.tolist()], steps[order]
+
+
+def _walk(cells: bytearray, rows) -> list[int]:
+    """Apply a block's rows in order; a legal move flips every cell, and a
+    one-cell row is a probe whose value is returned."""
+    seen = []
+    for row in rows:
+        n = len(row)
+        if n == 4:
+            a, b, c, d = row
+            x = cells[a]
+            if x == cells[b] and x != cells[c] == cells[d]:
+                cells[a] = cells[b] = 1 - x
+                cells[c] = cells[d] = x
+        elif n == 6:
+            a, b, c, d, e, f = row
+            x = cells[a]
+            if x == cells[b] == cells[c] and x != cells[d] == cells[e] == cells[f]:
+                cells[a] = cells[b] = cells[c] = 1 - x
+                cells[d] = cells[e] = cells[f] = x
+        else:
+            seen.append(cells[row[0]])
+    return seen
+
+
 def _advance(
-    inst: ProblemInstance,
-    edges: set[Pair],
-    steps: int,
-    rng: np.random.Generator,
-    record_pair: Pair | None = None,
-    record_every: int = 0,
+    inst: ProblemInstance, cells: bytearray, steps: int, rng: np.random.Generator,
+    probe: int = -1, every: int = 0,
 ) -> list[int]:
-    """Run proposals in place; optionally record an edge indicator periodically.
+    """Run proposals in place on the cells; with `every`, read cell `probe` after every such step.
 
     Draws come in fixed-size blocks (move kinds, then the U- and W-pairs of
     the block's 4-cycle steps, then the triples of its 6-cycle steps), so a
     trajectory is reproducible for a given seed and step count.
     """
-    forbidden = inst.forbidden
     n_u, n_w = inst.n_u, inst.n_w
     have_triples = n_u >= 3 and n_w >= 3
-    recorded: list[int] = []
-    since_record = 0
-    done = 0
-    while done < steps:
+    seen: list[int] = []
+    for done in range(0, steps, _CHUNK):
         block = min(_CHUNK, steps - done)
         kinds = rng.integers(0, 4, block)
         if not have_triples:
             kinds[kinds == _C6] = _LAZY
         n4 = int(np.count_nonzero(kinds == _C4))
         n6 = int(np.count_nonzero(kinds == _C6))
-        u4, w4 = _distinct_draws(rng, n_u, n4, 2, 0), _distinct_draws(rng, n_w, n4, 2, n_u)
-        u6, w6 = _distinct_draws(rng, n_u, n6, 3, 0), _distinct_draws(rng, n_w, n6, 3, n_u)
-        i4 = i6 = 0
-        # without recording, lazy steps change nothing and are skipped
-        for kind in (kinds if record_every else kinds[kinds >= _C4]).tolist():
-            if kind == _C4:
-                toggle = try_c4(forbidden, edges, u4[i4], w4[i4])
-                i4 += 1
-            elif kind == _C6:
-                toggle = try_c6(forbidden, edges, u6[i6], w6[i6])
-                i6 += 1
-            else:
-                toggle = None
-            if toggle is not None:
-                edges.symmetric_difference_update(toggle)
-            if record_every:
-                since_record += 1
-                if since_record == record_every:
-                    since_record = 0
-                    recorded.append(1 if record_pair in edges else 0)
-        done += block
-    return recorded
+        u4, w4 = _distinct_draws(rng, n_u, n4, 2), _distinct_draws(rng, n_w, n4, 2)
+        u6, w6 = _distinct_draws(rng, n_u, n6, 3), _distinct_draws(rng, n_w, n6, 3)
+        rows, at = _block_rows(inst, kinds, u4, w4, u6, w6)
+        if every:
+            # a probe follows the moves of its step, so it sorts after them
+            probes = np.arange((every - 1 - done) % every, block, every)
+            order = np.argsort(np.concatenate([2 * at, 2 * probes + 1]))
+            rows += [[probe]] * len(probes)
+            rows = [rows[i] for i in order.tolist()]
+        seen += _walk(cells, rows)
+    return seen
+
+
+def _from_cells(inst: ProblemInstance, cells: bytearray) -> Realization:
+    """The realization whose edges are the set cells."""
+    js, us = np.nonzero(np.frombuffer(cells, dtype=np.int8).reshape(inst.n_w, inst.n_u))
+    return realization_from_global_edges(inst, zip(us.tolist(), (js + inst.n_u).tolist()))
 
 
 def run_chain(
@@ -186,9 +226,9 @@ def run_chain(
     if start.instance != inst:
         raise PreconditionViolated("start realization belongs to a different instance")
     rng = np.random.Generator(np.random.Philox(seed))
-    edges = set(start.edges)
-    _advance(inst, edges, steps, rng)
-    return realization_from_global_edges(inst, edges)
+    cells = bytearray(start.matrix.tobytes())
+    _advance(inst, cells, steps, rng)
+    return _from_cells(inst, cells)
 
 
 def classify_move(G: Realization, H: Realization) -> str | None:
@@ -317,8 +357,8 @@ def sample_edge_frequency(
 ) -> tuple[int, Realization]:
     """Count of thinned post-burn-in states containing `pair`."""
     _require_chain_instance(inst)
-    edges = set(start.edges)
-    _advance(inst, edges, burn_in, rng)
-    recorded = _advance(inst, edges, n_samples * thin, rng, record_pair=pair, record_every=thin)
-    final = realization_from_global_edges(inst, edges)
-    return sum(recorded), final
+    cells = bytearray(start.matrix.tobytes())
+    _advance(inst, cells, burn_in, rng)
+    u, w = pair
+    recorded = _advance(inst, cells, n_samples * thin, rng, (w - inst.n_u) * inst.n_u + u, thin)
+    return sum(recorded), _from_cells(inst, cells)

@@ -286,7 +286,7 @@ def uniformity_test(
     """Sample independent chains and compare the end-state histogram to uniform."""
     from scipy import stats  # slow to import, and needed only here
 
-    from .chain import _advance, _require_chain_instance
+    from .chain import _require_chain_instance, run_chain
     from .construct import greedy_construct
 
     _require_chain_instance(inst)
@@ -298,10 +298,7 @@ def uniformity_test(
             raise TooLarge("instance is not graphical")
     counts = np.zeros(len(states), dtype=np.int64)
     for child_seed in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.Generator(np.random.Philox(child_seed))
-        edges = set(start.edges)
-        _advance(inst, edges, steps, rng)
-        counts[index[tuple(sorted(edges))]] += 1
+        counts[index[run_chain(inst, start, steps, child_seed).key]] += 1
     n_states = len(states)
     freqs = counts / n_samples
     tv = 0.5 * float(np.abs(freqs - 1.0 / n_states).sum())

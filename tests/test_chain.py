@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -206,17 +206,69 @@ def test_legal_moves_and_kernel_match_pairwise_half_regular_property(inst):
     _assert_moves_and_kernel_match_pairwise(inst)
 
 
+# fixed instances with many states and with 6-cycle moves, which small drawn ones rarely have
+HALF_REGULAR_5X5 = core.bipartite_instance(  # 32 states, 198 c4 and 2 c6 moves
+    [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
+)
+MIXED = core.bipartite_instance(  # 7 states, 16 c4 and 4 c6 moves
+    [2, 1, 1, 1], [1, 2, 1, 1], star_center=0, star_leaves=[0],
+    matching=[(1, 1), (2, 2), (3, 3)],
+)
+
+
 def test_legal_moves_and_kernel_match_pairwise_with_c6_moves(f2, f3, roadmap_4x4):
-    """Fixed instances with many states and with 6-cycle moves, which small drawn ones rarely have."""
-    half_regular_5x5 = core.bipartite_instance(  # 32 states, 198 c4 and 2 c6 moves
-        [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
-    )
-    mixed = core.bipartite_instance(  # 7 states, 16 c4 and 4 c6 moves
-        [2, 1, 1, 1], [1, 2, 1, 1], star_center=0, star_leaves=[0],
-        matching=[(1, 1), (2, 2), (3, 3)],
-    )
-    for inst in (f2, f3, roadmap_4x4, half_regular_5x5, mixed):
+    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED):
         _assert_moves_and_kernel_match_pairwise(inst)
+
+
+def _assert_cell_rule_matches_try_moves(inst):
+    """Each ordered draw's row, run alone through the walker, moves as try_c4/try_c6 say.
+
+    The rows of all draws of one kind are built as one block; a draw the
+    builder drops must be illegal at every state.
+    """
+    states = enumerate_all(inst)
+    n_u = inst.n_u
+    for kind, r, try_move in ((chain._C4, 2, chain.try_c4), (chain._C6, 3, chain.try_c6)):
+        us = list(permutations(range(n_u), r))
+        ws = list(permutations(range(inst.n_w), r))
+        draws = [(u, w) for u in us for w in ws]
+        u_arr = np.array([u for u, _ in draws]).reshape(-1, r)
+        w_arr = np.array([w for _, w in draws]).reshape(-1, r)
+        none = np.zeros((0, 5 - r), dtype=np.int64)  # no draws of the other kind
+        arrays = (u_arr, w_arr, none, none) if r == 2 else (none, none, u_arr, w_arr)
+        rows, steps = chain._block_rows(inst, np.full(len(draws), kind), *arrays)
+        row_of = dict(zip(steps.tolist(), rows))
+        for state in states:
+            start = bytearray(state.matrix.tobytes())
+            for i, (utuple, wtuple) in enumerate(draws):
+                toggle = try_move(inst.forbidden, state.edges, utuple, tuple(w + n_u for w in wtuple))
+                cells = bytearray(start)
+                if i in row_of:
+                    assert chain._walk(cells, [row_of[i]]) == []
+                if toggle is None:
+                    assert cells == start, (state.key, utuple, wtuple)
+                else:
+                    after = chain._from_cells(inst, cells)
+                    assert after.edges == state.edges.symmetric_difference(toggle), (utuple, wtuple)
+
+
+# 4 states; u0 has two forbidden partners and w0 two, so a 3x3 block can have
+# one entry in every row but none in some column
+TWO_LEAF_STAR = core.bipartite_instance(
+    [2] * 4, [2] * 4, star_center=0, star_leaves=[0, 1], matching=[(2, 0), (3, 3)]
+)
+
+
+def test_cell_rule_matches_try_moves(f2, f3, roadmap_4x4):
+    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED, TWO_LEAF_STAR):
+        _assert_cell_rule_matches_try_moves(inst)
+
+
+@settings(max_examples=30, deadline=None)
+@given(half_regular_instances())
+def test_cell_rule_matches_try_moves_half_regular_property(inst):
+    _assert_cell_rule_matches_try_moves(inst)
 
 
 def test_exact_kernel_guard(f3):
@@ -243,18 +295,18 @@ def test_sample_edge_frequency_counts(f2, f2_reals):
 @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (3, 3), (4, 3), (7, 2), (7, 3)])
 def test_distinct_draws_in_range(n, r):
     rng = np.random.Generator(np.random.Philox(1))
-    draws = chain._distinct_draws(rng, n, 2000, r, 10)
-    assert len(draws) == 2000
-    for t in draws:
-        assert len(t) == r and len(set(t)) == r
-        assert all(isinstance(x, int) and 10 <= x < 10 + n for x in t)
+    draws = chain._distinct_draws(rng, n, 2000, r)
+    assert draws.shape == (2000, r) and np.issubdtype(draws.dtype, np.integer)
+    for t in draws.tolist():
+        assert len(set(t)) == r
+        assert all(0 <= x < n for x in t)
 
 
 @pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (4, 3), (5, 3)])
 def test_distinct_draws_uniform_over_sets(n, r):
     rng = np.random.Generator(np.random.Philox(2024))
     sets = {c: 0 for c in combinations(range(n), r)}
-    for t in chain._distinct_draws(rng, n, 20_000, r, 0):
+    for t in chain._distinct_draws(rng, n, 20_000, r).tolist():
         sets[tuple(sorted(t))] += 1
     assert stats.chisquare(list(sets.values())).pvalue >= 1e-4
 

@@ -217,6 +217,30 @@ def test_construct_matches_golden(capsys, tmp_path):
     assert "".join(reports) == golden
 
 
+# SHA-256 of chain-driven reports, as the set-based walker wrote them before the
+# flat-cell walker replaced it.  A change that alters trajectories on purpose must
+# replace these digests and say so.
+PINNED_CHAIN_REPORTS = [
+    ((5, 2), ["sample", "--steps", "2000", "--samples", "200", "--seed", "7"],
+     "206d17d1ef5734ba72d773da451b95b27940a3936b49ffdb63d7c93107f74eba"),
+    ((150, 10), ["sample", "--steps", "20000", "--samples", "2", "--seed", "1"],
+     "6a4fcb639bbb4a3479178fa9a7b194f4a9b835f89e3d76a568525c695015a5c8"),
+    ((6, 3), ["count", "--approx", "--samples", "1000", "--seed", "0"],
+     "86e74069c1e770c4a0358e54d8685f7a7f44f431d587b3c98b7acd4d5334e8d0"),
+]
+
+
+@pytest.mark.parametrize(
+    "size, argv, digest", PINNED_CHAIN_REPORTS, ids=["sample-swarm", "sample-n150", "count-approx"]
+)
+def test_chain_reports_match_pinned_digests(capsys, tmp_path, size, argv, digest):
+    """sample-swarm and count-approx benchmark instances, and a short walk at n = 150."""
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps(_half_regular(*size)))
+    assert cli.main([*argv, str(p)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_convert_directed(capsys, tmp_path):
     p = tmp_path / "D.json"
     p.write_text(json.dumps({"kind": "directed", "out_degrees": [1, 1], "in_degrees": [1, 1]}))

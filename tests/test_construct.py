@@ -251,7 +251,9 @@ def test_repair_swap_degenerate_c6_case():
     x, y, z = 0, inst.w(0), inst.w(1)
     sw = construct.repair_swap(real, x, y, z)
     assert sw.circuit.length == 6
-    assert sw.f_compatible is False or sw.f_compatible  # well-defined either way
+    # circuit w0-u0-w1-u1-w2-u2: its potential pair (u0, w2) is a chord, since u0
+    # has no forbidden partner, so the swap is not F-compatible
+    assert not sw.f_compatible
     after = swaps.apply_swap(real, sw)
     assert after.has_edge(x, y) and not after.has_edge(x, z)
     assert {w for (u, w) in after.edges if u == 0} == {y}
