@@ -24,16 +24,14 @@ from .core import (
 from .construct import greedy_construct, is_graphical, neighbor_order, repair_swap
 from .swaps import (
     ChordCircuit,
-    CircularSwap,
-    apply_swap,
+    apply_circuit,
+    check_alternating,
     decompose_symmetric_difference,
-    elementary_circuit_to_fswaps,
     is_f_compatible,
     make_circuit,
     max_alternating_circuit_count,
     pv_pairs,
     swap_distance,
-    swap_from_circuit,
 )
 from .chain import (
     KernelReport,

@@ -148,7 +148,7 @@ def _cmd_sample(args) -> tuple[int, dict]:
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
-    states = oracle.enumerate_all(inst, max_chords=args.max_delta or 40)
+    states = oracle.enumerate_all(inst, max_chords=args.max_delta)
     return EXIT_OK, {
         "count": str(len(states)),
         "realizations": [s.to_pairs() for s in states],
@@ -194,7 +194,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
 
 def _cmd_audit_paths(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
-    states = oracle.enumerate_all(inst, max_states=args.max_states or None)
+    states = oracle.enumerate_all(inst, max_states=args.max_states)
     stack = paths.state_stack(states)
     edge_lists = [s.to_pairs() for s in states]
     pair_reports = []
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("enumerate", _cmd_enumerate, help="exhaustively list realizations")
-    p.add_argument("--max-delta", type=int, default=40, dest="max_delta")
+    p.add_argument("--max-delta", type=_at_least(0), default=40, dest="max_delta")
 
     p = add("count", _cmd_count, help="count realizations")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -307,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("distance", _cmd_distance, help="minimum swap weight between realizations")
     p.add_argument("--from", required=True, dest="from_real", metavar="REAL")
     p.add_argument("--to", required=True, dest="to_real", metavar="REAL")
-    p.add_argument("--max-delta", type=int, default=16, dest="max_delta")
+    p.add_argument("--max-delta", type=_at_least(0), default=16, dest="max_delta")
 
     p = add("kernel", _cmd_kernel, help="exact rational transition matrix")
-    p.add_argument("--max-states", type=int, default=4096, dest="max_states")
+    p.add_argument("--max-states", type=_at_least(0), default=4096, dest="max_states")
 
     p = add("audit-paths", _cmd_audit_paths, help="canonical path audits over all pairs")
-    p.add_argument("--max-states", type=int, default=256, dest="max_states")
+    p.add_argument("--max-states", type=_at_least(0), default=256, dest="max_states")
     p.add_argument("--verbose", action="store_true")
 
     add("convert-directed", _cmd_convert_directed, help="directed instance to bipartite form")
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bench", _cmd_bench, help="machine-dependent throughput numbers")
     p.add_argument("--steps", type=_at_least(0), default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-states", type=int, default=64, dest="max_states")
+    p.add_argument("--max-states", type=_at_least(0), default=64, dest="max_states")
 
     return parser
 

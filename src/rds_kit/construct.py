@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .core import ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import NotNormal, PreconditionViolated
-from .swaps import CircularSwap, make_circuit, swap_from_circuit
+from .swaps import ChordCircuit, check_alternating, make_circuit
 
 ABSENT_PARTNER_DEGREE = -1
 
@@ -120,7 +120,7 @@ def is_graphical(inst: ProblemInstance) -> bool:
     return greedy_construct(inst) is not None
 
 
-def repair_swap(real: Realization, x: int, y: int, z: int) -> CircularSwap:
+def repair_swap(real: Realization, x: int, y: int, z: int) -> ChordCircuit:
     """An alternating circuit of length 4 or 6 replacing z by y in the neighbourhood of x.
 
     Preconditions: xz is an edge, xy a non-edge chord, the chord neighbourhood
@@ -144,7 +144,9 @@ def repair_swap(real: Realization, x: int, y: int, z: int) -> CircularSwap:
         if u in (x, y, z):
             continue
         if real.has_edge(u, y) and inst.is_chord(u, z) and not real.has_edge(u, z):
-            return swap_from_circuit(real, make_circuit(inst, (x, z, u, y)))
+            circ = make_circuit(inst, (x, z, u, y))
+            check_alternating(real, circ)
+            return circ
 
     y_f = _alive_partner(inst, y, residuals)
     z_f = _alive_partner(inst, z, residuals)
@@ -164,5 +166,7 @@ def repair_swap(real: Realization, x: int, y: int, z: int) -> CircularSwap:
             and inst.is_chord(z_f, u)
             and not real.has_edge(z_f, u)
         ):
-            return swap_from_circuit(real, make_circuit(inst, (y, x, z, y_f, u, z_f)))
+            circ = make_circuit(inst, (y, x, z, y_f, u, z_f))
+            check_alternating(real, circ)
+            return circ
     raise PreconditionViolated("no repair circuit exists for (x, y, z)")

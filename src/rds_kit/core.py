@@ -260,7 +260,7 @@ def make_realization(inst: ProblemInstance, pairs: Iterable[Pair | list[int]]) -
     """Build a realization from class-local pairs ((u, w) for bipartite kinds)."""
     edges = set()
     for p in pairs:
-        a, b = p
+        a, b = (_as_int(v, "edge index") for v in p)
         if inst.is_bipartite_like:
             edges.add(inst.uw_pair(a, b))
         else:
@@ -486,7 +486,10 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
             inst = from_directed(out_deg, in_deg)
             diagonal = set(inst.matching)
             if matching:
-                given = {inst.uw_pair(int(p[0]), int(p[1])) for p in matching}
+                given = {
+                    inst.uw_pair(_as_int(p[0], "matching index"), _as_int(p[1], "matching index"))
+                    for p in matching
+                }
                 if given != diagonal:
                     raise ValidationError("directed instances carry exactly the diagonal matching")
             if star_center is not None or star_leaves:

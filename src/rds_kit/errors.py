@@ -61,10 +61,6 @@ class NotAlternating(RdsKitError):
     """Circuit chords do not alternate between edges and non-edges."""
 
 
-class NotElementary(RdsKitError):
-    """Chord-circuit repeats a vertex more than twice or at even distance."""
-
-
 class NotNormal(RdsKitError):
     """A chord neighbourhood has a vertex with several forbidden partners."""
 

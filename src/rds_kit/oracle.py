@@ -14,13 +14,8 @@ import numpy as np
 
 from .chain import legal_moves
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
-from .errors import PreconditionViolated, TooLarge, TooManyStates
-from .swaps import (
-    ChordCircuit,
-    CircularSwap,
-    is_f_compatible,
-    swap_from_circuit,
-)
+from .errors import NotGraphical, PreconditionViolated, TooLarge, TooManyStates
+from .swaps import ChordCircuit, check_alternating, is_f_compatible
 
 CHAIN_MOVES = "chain_moves"
 ALL_FSWAPS = "all_fswaps"
@@ -123,20 +118,20 @@ def _enumerate_general(inst: ProblemInstance, collect) -> None:
     rec(0)
 
 
-def enumerate_fswaps(real: Realization, max_length: int | None = None) -> list[CircularSwap]:
-    """All F-compatible elementary circular swaps available at a realization."""
+def enumerate_fswaps(real: Realization, max_length: int | None = None) -> list[ChordCircuit]:
+    """All F-compatible elementary circular swaps (alternating circuits) at a realization."""
     inst = real.instance
     if max_length is None:
         if inst.is_bipartite_like:
             max_length = 2 * min(inst.n_u, inst.n_w)
         else:
             max_length = 2 * inst.n_vertices
-    circuits = _alternating_elementary_circuits(real, max_length)
-    return [
-        swap_from_circuit(real, circ)
-        for circ in circuits
-        if is_f_compatible(inst, circ)
-    ]
+    out = []
+    for circ in _alternating_elementary_circuits(real, max_length):
+        if is_f_compatible(inst, circ):
+            check_alternating(real, circ)
+            out.append(circ)
+    return out
 
 
 def _alternating_elementary_circuits(real: Realization, max_length: int) -> list[ChordCircuit]:
@@ -265,9 +260,9 @@ def build_realization_graph(
                 neighbors[i][index[state.edges.symmetric_difference(toggle)]] = 1
     elif move_set == ALL_FSWAPS:
         for i, state in enumerate(states):
-            for sw in enumerate_fswaps(state):
-                j = index[(state.edges - sw.removes) | sw.adds]
-                w = sw.weight
+            for circ in enumerate_fswaps(state):
+                j = index[state.edges.symmetric_difference(circ.chords)]
+                w = circ.weight
                 if j not in neighbors[i] or w < neighbors[i][j]:
                     neighbors[i][j] = w
                     neighbors[j][i] = w
@@ -295,7 +290,7 @@ def uniformity_test(
     if start is None:
         start = greedy_construct(inst)
         if start is None:
-            raise TooLarge("instance is not graphical")
+            raise NotGraphical("instance is not graphical")
     counts = np.zeros(len(states), dtype=np.int64)
     for child_seed in np.random.SeedSequence(seed).spawn(n_samples):
         counts[index[run_chain(inst, start, steps, child_seed).key]] += 1

@@ -3,9 +3,11 @@
 A chord-circuit is a cyclic vertex sequence whose consecutive pairs are
 distinct chords.  It is elementary when no vertex occurs more than twice and
 repeated occurrences sit at odd circuit distance (for bipartite instances this
-forces a simple cycle).  Applying an alternating circuit exchanges its edges
-and non-edges; the swap is F-compatible when every potential vertex pair of
-the circuit is forbidden, and carries weight i-1 for length 2i.
+forces a simple cycle).  A swap is its circuit: applying an alternating
+circuit toggles its chords, exchanging its edges and non-edges, so applying
+it twice gives back the start.  The swap is F-compatible when every
+potential vertex pair of the circuit is forbidden, and carries weight i-1
+for length 2i.
 
 The two chain moves are such swaps, but they are defined, built and applied
 as chord toggles in :mod:`rds_kit.chain`.  The circuits here serve the
@@ -24,7 +26,6 @@ from .errors import (
     InvalidCircuit,
     NotAChord,
     NotAlternating,
-    NotElementary,
     PreconditionViolated,
     TooLarge,
 )
@@ -47,6 +48,11 @@ class ChordCircuit:
     @property
     def length(self) -> int:
         return len(self.vertices)
+
+    @property
+    def weight(self) -> int:
+        """Cost i-1 of the swap along a circuit of length 2i."""
+        return self.length // 2 - 1
 
     @cached_property
     def is_elementary(self) -> bool:
@@ -116,32 +122,8 @@ def is_f_compatible(inst: ProblemInstance, circ: ChordCircuit) -> bool:
     return all(not inst.is_chord(a, b) for a, b in pv_pairs(circ))
 
 
-@dataclass(frozen=True)
-class CircularSwap:
-    """An alternating circuit with its current edge/non-edge phase.
-
-    ``removes`` are the chords that are edges before application, ``adds`` the
-    complementary ones; weight is i-1 for a circuit of length 2i.
-    """
-
-    circuit: ChordCircuit
-    removes: frozenset[Pair]
-    adds: frozenset[Pair]
-
-    @property
-    def weight(self) -> int:
-        return self.circuit.length // 2 - 1
-
-    @property
-    def f_compatible(self) -> bool:
-        return is_f_compatible(self.circuit.instance, self.circuit)
-
-    def inverse(self) -> "CircularSwap":
-        return CircularSwap(self.circuit, self.adds, self.removes)
-
-
-def swap_from_circuit(real: Realization, circ: ChordCircuit) -> CircularSwap:
-    """Read the alternation phase of a circuit off a realization."""
+def check_alternating(real: Realization, circ: ChordCircuit) -> None:
+    """Raise NotAlternating unless the circuit's chords alternate edge/non-edge in real."""
     vs = circ.vertices
     statuses = [real.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
     for i in range(len(vs)):
@@ -149,74 +131,12 @@ def swap_from_circuit(real: Realization, circ: ChordCircuit) -> CircularSwap:
             raise NotAlternating(
                 f"chords {i} and {i + 1} of the circuit share edge status {statuses[i]}"
             )
-    removes = frozenset(c for c, s in zip(circ.chords, statuses) if s)
-    adds = frozenset(c for c, s in zip(circ.chords, statuses) if not s)
-    return CircularSwap(circ, removes, adds)
 
 
-def apply_swap(real: Realization, sw: CircularSwap) -> Realization:
-    """Exchange edges and non-edges along the swap's circuit."""
-    if not sw.removes <= real.edges or real.edges & sw.adds:
-        raise NotAlternating("swap phase does not match the realization")
-    return realization_from_global_edges(
-        real.instance, (real.edges - sw.removes) | sw.adds
-    )
-
-
-def elementary_circuit_to_fswaps(
-    real: Realization, circ: ChordCircuit
-) -> list[CircularSwap]:
-    """Decompose an alternating elementary circuit into F-compatible swaps.
-
-    Splits recursively at the lexicographically least potential vertex pair
-    that is a chord; the total weight of the emitted swaps is i-1.
-    """
-    if not circ.is_elementary:
-        raise NotElementary("circuit repeats a vertex badly")
-    inst = real.instance
-    swap_from_circuit(real, circ)  # raises NotAlternating if the phase is off
-    out: list[CircularSwap] = []
-
-    def process(current: Realization, vs: tuple[int, ...]) -> Realization:
-        sub = ChordCircuit(inst, vs)
-        chord_pvs = [p for p in pv_pairs(sub) if inst.is_chord(*p)]
-        if not chord_pvs:
-            sw = swap_from_circuit(current, sub)
-            out.append(sw)
-            return apply_swap(current, sw)
-        target = chord_pvs[0]
-        n = len(vs)
-        split = None
-        for p in range(n):
-            for q in range(p + 1, n):
-                if norm_pair(vs[p], vs[q]) != target:
-                    continue
-                d = q - p
-                if d % 2 == 1 and 1 < d < n - 1:
-                    split = (p, q)
-                    break
-            if split:
-                break
-        assert split is not None
-        p, q = split
-        arc1 = vs[p : q + 1]
-        arc2 = vs[q:] + vs[: p + 1]
-
-        def alternates(r: Realization, arc: tuple[int, ...]) -> bool:
-            try:
-                swap_from_circuit(r, ChordCircuit(inst, arc))
-                return True
-            except NotAlternating:
-                return False
-
-        first, second = (arc1, arc2) if alternates(current, arc1) else (arc2, arc1)
-        current = process(current, first)
-        return process(current, second)
-
-    final = process(real, circ.vertices)
-    expected = real.edges.symmetric_difference(set(circ.chords))
-    assert final.edges == expected, "swap sequence drifted from the circuit"
-    return out
+def apply_circuit(real: Realization, circ: ChordCircuit) -> Realization:
+    """Exchange edges and non-edges along an alternating circuit (toggle its chords)."""
+    check_alternating(real, circ)
+    return realization_from_global_edges(real.instance, real.edges ^ set(circ.chords))
 
 
 # ---------------------------------------------------------------------------

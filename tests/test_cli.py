@@ -275,6 +275,43 @@ def test_guard_exit_three(capsys, tmp_path):
     assert code == 3 and payload["error"] == "TooLarge"
 
 
+@pytest.mark.parametrize(
+    "edges",
+    ['[["a", 1]]', "[[0.5, 1]]"],
+    ids=["string-index", "fractional-index"],
+)
+def test_distance_non_integer_index_exit_two(capsys, f2_path, edges):
+    argv = ["distance", f2_path, "--from", edges, "--to", "[[0, 1], [1, 2], [2, 0]]"]
+    code, payload = run(capsys, argv)
+    assert code == 2 and payload["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "matching",
+    [[["a", "b"]], [[0.5, 0], [1, 1]]],
+    ids=["string-index", "fractional-diagonal"],
+)
+def test_directed_non_integer_matching_exit_two(capsys, tmp_path, matching):
+    p = tmp_path / "D.json"
+    p.write_text(
+        json.dumps({"kind": "directed", "out_degrees": [1, 1], "in_degrees": [1, 1], "matching": matching})
+    )
+    code, payload = run(capsys, ["check", str(p)])
+    assert code == 2 and payload["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["enumerate", "--max-delta", "0"], "TooLarge"),
+        (["audit-paths", "--max-states", "0"], "TooManyStates"),
+    ],
+)
+def test_zero_guard_exit_three(capsys, f2_path, argv, error):
+    code, payload = run(capsys, [argv[0], f2_path, *argv[1:]])
+    assert code == 3 and payload["error"] == error
+
+
 def test_usage_error_exit_two(capsys, f2_path):
     assert cli.main(["count", f2_path]) == 2  # neither --exact nor --approx
     capsys.readouterr()
@@ -289,6 +326,11 @@ def test_usage_error_exit_two(capsys, f2_path):
         ["count", "--approx", "--samples", "0"],
         ["count", "--approx", "--burn-in", "-1"],
         ["bench", "--steps", "-1"],
+        ["kernel", "--max-states", "-1"],
+        ["audit-paths", "--max-states", "-1"],
+        ["bench", "--max-states", "-1"],
+        ["enumerate", "--max-delta", "-1"],
+        ["distance", "--from", "[]", "--to", "[]", "--max-delta", "-1"],
     ],
 )
 def test_bad_count_exit_two(capsys, f2_path, argv):

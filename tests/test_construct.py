@@ -236,9 +236,9 @@ def test_greedy_matches_reference_greedy(monkeypatch, n):
 
 def test_repair_swap_c4_case(f3):
     real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    sw = construct.repair_swap(real, 0, f3.w(2), f3.w(1))
-    assert sw.circuit.length == 4
-    after = swaps.apply_swap(real, sw)
+    circ = construct.repair_swap(real, 0, f3.w(2), f3.w(1))
+    assert circ.length == 4
+    after = swaps.apply_circuit(real, circ)
     assert after.has_edge(0, f3.w(2)) and not after.has_edge(0, f3.w(1))
     # only the neighbourhood of x changed by {z} -> {y}
     assert {w for (u, w) in after.edges if u == 0} == {f3.w(2)}
@@ -249,12 +249,12 @@ def test_repair_swap_degenerate_c6_case():
     inst = core.bipartite_instance([1, 1, 1], [1, 1, 1], matching=[(1, 0), (2, 1)])
     real = core.make_realization(inst, [(0, 1), (1, 2), (2, 0)])
     x, y, z = 0, inst.w(0), inst.w(1)
-    sw = construct.repair_swap(real, x, y, z)
-    assert sw.circuit.length == 6
+    circ = construct.repair_swap(real, x, y, z)
+    assert circ.length == 6
     # circuit w0-u0-w1-u1-w2-u2: its potential pair (u0, w2) is a chord, since u0
     # has no forbidden partner, so the swap is not F-compatible
-    assert not sw.f_compatible
-    after = swaps.apply_swap(real, sw)
+    assert not swaps.is_f_compatible(inst, circ)
+    after = swaps.apply_circuit(real, circ)
     assert after.has_edge(x, y) and not after.has_edge(x, z)
     assert {w for (u, w) in after.edges if u == 0} == {y}
 
@@ -270,8 +270,8 @@ def test_repair_swap_precondition_violations(f3):
     real = core.make_realization(inst, [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(PreconditionViolated, match="strictly precedes"):
         construct.repair_swap(real, 0, inst.w(2), inst.w(0))
-    sw = construct.repair_swap(real, 2, inst.w(0), inst.w(2))
-    assert sw.removes == {(0, inst.w(0)), (2, inst.w(2))}
+    circ = construct.repair_swap(real, 2, inst.w(0), inst.w(2))
+    assert set(circ.chords) & real.edges == {(0, inst.w(0)), (2, inst.w(2))}
 
 
 def test_repair_swap_lemma_exhaustive():
@@ -298,12 +298,12 @@ def test_repair_swap_lemma_exhaustive():
                         if y == z:
                             continue
                         try:
-                            sw = construct.repair_swap(real, x, y, z)
+                            circ = construct.repair_swap(real, x, y, z)
                         except PreconditionViolated:
                             continue
                         tried += 1
-                        assert sw.circuit.length in (4, 6)
-                        after = swaps.apply_swap(real, sw)
+                        assert circ.length in (4, 6)
+                        after = swaps.apply_circuit(real, circ)
                         gamma_before = {a if b == x else b for (a, b) in real.edges if x in (a, b)}
                         gamma_after = {a if b == x else b for (a, b) in after.edges if x in (a, b)}
                         assert gamma_after == (gamma_before - {z}) | {y}

@@ -316,3 +316,24 @@ def test_instance_json_roundtrip(inst):
 def test_realization_json_sorted(f2, f2_reals):
     ra, _ = f2_reals
     assert ra.to_json_dict() == {"edges": [[0, 1], [1, 2], [2, 0]]}
+
+
+def test_every_error_class_is_raised_or_caught_elsewhere():
+    """An exception class that no other module of the package names is dead code."""
+    import inspect
+    import re
+    from pathlib import Path
+
+    from rds_kit import errors
+
+    package = Path(errors.__file__).parent
+    others = "".join(
+        p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py")) if p.name != "errors.py"
+    )
+    classes = [
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if cls.__module__ == errors.__name__
+    ]
+    assert len(classes) > 20
+    assert [n for n in classes if not re.search(rf"\b{n}\b", others)] == []

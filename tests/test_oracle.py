@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rds_kit import core, oracle, swaps
-from rds_kit.errors import PreconditionViolated, TooLarge, TooManyStates
+from rds_kit.errors import NotGraphical, PreconditionViolated, TooLarge, TooManyStates
 
 from conftest import permutation_bruteforce, subset_bruteforce
 
@@ -73,9 +73,14 @@ def test_realization_graph_fswap_weights(f2):
 
 def test_enumerate_fswaps_matches_applications(f3):
     real = oracle.enumerate_all(f3)[0]
-    for sw in oracle.enumerate_fswaps(real):
-        after = swaps.apply_swap(real, sw)
+    for circ in oracle.enumerate_fswaps(real):
+        after = swaps.apply_circuit(real, circ)
         assert after.edges != real.edges
+
+
+def test_uniformity_not_graphical(f5):
+    with pytest.raises(NotGraphical):
+        oracle.uniformity_test(f5, steps=5, n_samples=10, seed=0)
 
 
 def test_uniformity_f4_single_state(f4):

@@ -7,7 +7,6 @@ from rds_kit.errors import (
     InvalidCircuit,
     NotAChord,
     NotAlternating,
-    NotElementary,
     TooLarge,
 )
 from rds_kit.oracle import build_realization_graph, enumerate_all, ALL_FSWAPS
@@ -73,39 +72,45 @@ def test_f_compatibility_needs_forbidden_pv(f2):
 def test_apply_swap_defining_example(open2x2):
     real = core.make_realization(open2x2, [(0, 0), (1, 1)])
     circ = swaps.make_circuit(open2x2, (0, 2, 1, 3))
-    sw = swaps.swap_from_circuit(real, circ)
-    after = swaps.apply_swap(real, sw)
+    after = swaps.apply_circuit(real, circ)
     assert after.to_pairs() == [[0, 1], [1, 0]]
     # involution
-    again = swaps.apply_swap(after, sw.inverse())
+    again = swaps.apply_circuit(after, circ)
     assert again.key == real.key
 
 
 def test_apply_swap_f2_c6(f2, f2_reals):
     ra, rb = f2_reals
     circ = swaps.make_circuit(f2, (0, f2.w(1), 2, f2.w(0), 1, f2.w(2)))
-    sw = swaps.swap_from_circuit(ra, circ)
-    assert sw.weight == 2
-    assert swaps.apply_swap(ra, sw).key == rb.key
+    assert circ.weight == 2
+    assert swaps.apply_circuit(ra, circ).key == rb.key
 
 
 def test_apply_swap_rejects_wrong_phase(f2, f2_reals):
+    # the phase is read off the realization: the same circuit leads back from rb
     ra, rb = f2_reals
     circ = swaps.make_circuit(f2, (0, f2.w(1), 2, f2.w(0), 1, f2.w(2)))
-    sw = swaps.swap_from_circuit(ra, circ)
+    assert swaps.apply_circuit(rb, circ).key == ra.key
+    # in the complete 2x2 instance all four chords of the circuit are edges
+    full = core.bipartite_instance([2, 2], [2, 2])
+    real = core.make_realization(full, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    circ = swaps.make_circuit(full, (0, 2, 1, 3))
     with pytest.raises(NotAlternating):
-        swaps.apply_swap(rb, sw)
+        swaps.check_alternating(real, circ)
+    with pytest.raises(NotAlternating):
+        swaps.apply_circuit(real, circ)
 
 
 def test_apply_swap_preserves_degrees_everywhere(f3):
     for real in enumerate_all(f3):
         from rds_kit.oracle import enumerate_fswaps
 
-        for sw in enumerate_fswaps(real):
-            after = swaps.apply_swap(real, sw)
+        for circ in enumerate_fswaps(real):
+            after = swaps.apply_circuit(real, circ)
             for v in range(f3.n_vertices):
                 assert sum(1 for e in after.edges if v in e) == f3.degree(v)
             assert not (after.edges & f3.forbidden)
+            assert swaps.apply_circuit(after, circ).key == real.key  # a swap undoes itself
 
 
 # -- chain moves as toggles --------------------------------------------------
@@ -191,75 +196,6 @@ def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
                         assert after.edges ^ real.edges == set(hexagon)
 
 
-# -- circuit decomposition into F-swaps --------------------------------------
-
-
-def test_circuit_to_fswaps_c4_base(open2x2):
-    real = core.make_realization(open2x2, [(0, 0), (1, 1)])
-    circ = swaps.make_circuit(open2x2, (0, 2, 1, 3))
-    seq = swaps.elementary_circuit_to_fswaps(real, circ)
-    assert len(seq) == 1 and seq[0].weight == 1
-
-
-def test_circuit_to_fswaps_f2_single(f2, f2_reals):
-    ra, _ = f2_reals
-    circ = swaps.make_circuit(f2, (0, f2.w(1), 2, f2.w(0), 1, f2.w(2)))
-    seq = swaps.elementary_circuit_to_fswaps(ra, circ)
-    assert len(seq) == 1 and seq[0].weight == 2
-
-
-def test_circuit_to_fswaps_unrestricted_c6_splits():
-    inst = core.bipartite_instance([1, 1, 1], [1, 1, 1])
-    real = core.make_realization(inst, [(0, 0), (1, 1), (2, 2)])
-    circ = swaps.make_circuit(inst, (0, inst.w(0), 1, inst.w(1), 2, inst.w(2)))
-    seq = swaps.elementary_circuit_to_fswaps(real, circ)
-    assert [sw.weight for sw in seq] == [1, 1]
-    cur = real
-    for sw in seq:
-        assert sw.f_compatible
-        cur = swaps.apply_swap(cur, sw)
-    assert cur.edges == real.edges ^ set(circ.chords)
-
-
-def test_circuit_to_fswaps_weight_always_half_minus_one(f3):
-    from rds_kit.oracle import _alternating_elementary_circuits
-
-    for real in enumerate_all(f3)[:4]:
-        for circ in _alternating_elementary_circuits(real, 8):
-            seq = swaps.elementary_circuit_to_fswaps(real, circ)
-            assert sum(sw.weight for sw in seq) == circ.length // 2 - 1
-            cur = real
-            for sw in seq:
-                cur = swaps.apply_swap(cur, sw)
-            assert cur.edges == real.edges ^ set(circ.chords)
-
-
-def test_circuit_to_fswaps_rejects_non_elementary():
-    # figure-eight through u0: the repeat sits at even circuit distance
-    inst = core.bipartite_instance([2, 1, 1], [1, 1, 1, 1])
-    G = core.make_realization(inst, [(0, 0), (0, 2), (1, 1), (2, 3)])
-    w = inst.w
-    circ = swaps.make_circuit(inst, (0, w(0), 1, w(1), 0, w(2), 2, w(3)))
-    assert not circ.is_elementary
-    with pytest.raises(NotElementary):
-        swaps.elementary_circuit_to_fswaps(G, circ)
-
-
-def test_circuit_to_fswaps_rejects_non_alternating(f2, f2_reals):
-    ra, _ = f2_reals
-    inst = core.bipartite_instance([2, 1, 1], [2, 1, 1])
-    real = core.make_realization(inst, [(0, 0), (0, 1), (1, 2), (2, 0)])
-    circ = swaps.make_circuit(inst, (0, inst.w(0), 1, inst.w(2)))
-    try:
-        swaps.swap_from_circuit(real, circ)
-        alternating = True
-    except NotAlternating:
-        alternating = False
-    if not alternating:
-        with pytest.raises(NotAlternating):
-            swaps.elementary_circuit_to_fswaps(real, circ)
-
-
 # -- symmetric difference ----------------------------------------------------
 
 
@@ -282,7 +218,7 @@ def test_decompose_partition_and_alternation(f3):
             covered = set()
             for c in circuits:
                 assert c.is_elementary
-                swaps.swap_from_circuit(G, c)  # raises if not alternating in G
+                swaps.check_alternating(G, c)  # raises if not alternating in G
                 for ch in c.chords:
                     assert ch not in covered
                     covered.add(ch)
@@ -325,12 +261,9 @@ def test_general_kind_full_swap_pipeline():
                 cur = G
                 total_weight = 0
                 for circ in circuits:
-                    seq = swaps.elementary_circuit_to_fswaps(cur, circ)
-                    assert sum(sw.weight for sw in seq) == circ.length // 2 - 1
-                    total_weight += sum(sw.weight for sw in seq)
-                    for sw in seq:
-                        assert sw.f_compatible
-                        cur = swaps.apply_swap(cur, sw)
+                    assert circ.is_elementary
+                    total_weight += circ.weight
+                    cur = swaps.apply_circuit(cur, circ)
                 assert cur.key == H.key
                 delta = len(G.edges ^ H.edges)
                 assert total_weight == delta // 2 - len(circuits)
@@ -348,12 +281,8 @@ def test_general_repeated_vertex_circuit():
     circ = circuits[0]
     assert circ.length == 6 and circ.is_elementary
     assert len(set(circ.vertices)) == 5  # one vertex appears twice
-    seq = swaps.elementary_circuit_to_fswaps(G, circ)
-    assert sum(sw.weight for sw in seq) == 2
-    cur = G
-    for sw in seq:
-        cur = swaps.apply_swap(cur, sw)
-    assert cur.key == H.key
+    assert circ.weight == 2
+    assert swaps.apply_circuit(G, circ).key == H.key
 
 
 def test_general_kind_distance_against_fswap_graph():
