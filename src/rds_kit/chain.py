@@ -14,13 +14,19 @@ probability 1/4 draws unordered triples and applies the forbidden-matching
 symmetric with diagonal at least 1/2 and the uniform distribution is
 stationary.
 
-The walker holds a state as flat 0/1 cells in the ``(n_w, n_u)`` layout of
-:attr:`Realization.matrix`, so (u, j) is cell ``j * n_u + u``.  For each
-block of draws, numpy lists the cells of every move, its even cells then its
-odd cells, and drops the draws that are never legal: a 4-cycle on a
+:func:`run_chain` walks any number of independent chains in one pass, all
+driven by one generator.  The walker holds each state as flat 0/1 cells in
+the ``(n_w, n_u)`` layout of :attr:`Realization.matrix`, so (u, j) is cell
+``j * n_u + u``, and the chains' states lie back to back in one buffer.  A
+block holds the draws of a run of steps of every chain.  numpy lists the
+cells of each drawn move, three even cells then three odd ones, offset to
+its chain's state, and drops the draws that are never legal: a 4-cycle on a
 forbidden cell, a 6-cycle whose forbidden 3x3 block is not a permutation.
-A listed move is legal iff its even cells agree, its odd cells agree and the
-two values differ, which is what :func:`try_c4`/:func:`try_c6` decide.
+One Python loop then applies the block's moves in step order.  A listed move
+is legal iff its even cells agree, its odd cells agree and the two values
+differ, which is what :func:`try_c4`/:func:`try_c6` decide.  With one chain
+the blocks and the draws are those of the single-chain walker, so a
+single-chain trajectory depends only on the seed and the step count.
 """
 
 from __future__ import annotations
@@ -28,16 +34,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import numpy as np
 
-from .core import Pair, ProblemInstance, Realization, realization_from_global_edges
-from .errors import InstanceTooSmall, NotAdjacent, PreconditionViolated
+from .core import Pair, ProblemInstance, Realization
+from .errors import (
+    InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, ValidationError,
+)
 
 # move kinds are drawn uniformly from 0..3; kinds 0 and 1 are lazy
-_LAZY, _C4, _C6 = 0, 2, 3
+_C4, _C6 = 2, 3
 _CHUNK = 4096
 
 
@@ -133,100 +141,136 @@ def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair,
                     yield kind, toggle
 
 
-def _block_rows(inst: ProblemInstance, kinds, u4, w4, u6, w6) -> tuple[list, np.ndarray]:
-    """Cells of a block's moves that can ever be legal, in step order, and their steps.
+def _draw_block(inst: ProblemInstance, rng: np.random.Generator, steps: int, chains: int):
+    """Draws of one block of `steps` proposals of each of `chains` chains.
 
-    ``u4``/``w4`` hold the pairs and ``u6``/``w6`` the triples (class-local
-    indices) of the block's 4-cycle and 6-cycle steps.  A row lists its
-    even cells, then its odd cells.  A 4-cycle on a forbidden cell and a
-    6-cycle whose forbidden 3x3 block is not a permutation are dropped.
+    The move kinds come as a ``(steps, chains)`` array, then the U- and
+    W-pairs of its 4-cycle draws and the triples of its 6-cycle draws, in the
+    flattened order of the kinds, step ``t`` of chain ``k`` at ``t * chains + k``.
+    With one chain this is the order of the single-chain walker, so its
+    trajectories do not depend on how many chains a call runs.  Returns the
+    flat steps of the 4-cycle draws with their pairs, then the same for the
+    6-cycle draws and their triples.
     """
-    n_u, mask = inst.n_u, inst.forbidden_mask
+    kinds = rng.integers(0, 4, (steps, chains)).ravel()
+    at4 = np.flatnonzero(kinds == _C4)
+    at6 = np.flatnonzero(kinds == _C6) if inst.n_u >= 3 and inst.n_w >= 3 else at4[:0]
+    n4, n6 = len(at4), len(at6)
+    u4, w4 = _distinct_draws(rng, inst.n_u, n4, 2), _distinct_draws(rng, inst.n_w, n4, 2)
+    u6, w6 = _distinct_draws(rng, inst.n_u, n6, 3), _distinct_draws(rng, inst.n_w, n6, 3)
+    return at4, u4, w4, at6, u6, w6
+
+
+def _block_rows(
+    inst: ProblemInstance, chains: int, at4, u4, w4, at6, u6, w6
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of a block's moves that can ever be legal, in step order, and their flat steps.
+
+    The arguments after `chains` are those :func:`_draw_block` returns;
+    pairs and triples hold class-local indices.  A row is three even cells,
+    then three odd cells; a 4-cycle repeats its second even and its second
+    odd cell.  Chain k's cells are offset by k times the cells of one state.
+    A 4-cycle on a forbidden cell and a 6-cycle whose forbidden 3x3 block is
+    not a permutation are dropped.
+    """
+    n_u, mask = inst.n_u, inst.forbidden_mask.ravel()
     # pairs (a, b) and (c, d): evens (a, c), (b, d), odds (a, d), (b, c)
-    cells4 = w4[:, [0, 1, 1, 0]] * n_u + u4[:, [0, 1, 0, 1]]
-    live4 = ~mask.ravel()[cells4].any(axis=1)
-    block = mask[w6[:, :, None], u6[:, None, :]]  # [m, i, k]: w6[m, i] is forbidden with u6[m, k]
+    cells4 = w4[:, [0, 1, 1, 1, 0, 0]] * n_u + u4[:, [0, 1, 1, 0, 1, 1]]
+    live4 = ~mask[cells4].any(axis=1)
+    # [m, i, k]: w6[m, i] is forbidden with u6[m, k]
+    block = mask[(w6 * n_u)[:, :, None] + u6[:, None, :]]
     live6 = (block.sum(axis=1) == 1).all(axis=1) & (block.sum(axis=2) == 1).all(axis=1)
     partner = (block[live6] * w6[live6, :, None]).sum(axis=1)  # [m, k]: partner of u6[m, k]
     # triples (x, y, z) with partners s(.): the hexagon x - s(y) - z - s(x) - y - s(z)
     cells6 = partner[:, [1, 0, 2, 1, 0, 2]] * n_u + u6[live6][:, [0, 2, 1, 2, 1, 0]]
-    steps = np.concatenate([np.flatnonzero(kinds == _C4)[live4], np.flatnonzero(kinds == _C6)[live6]])
+    steps = np.concatenate([at4[live4], at6[live6]])
     order = np.argsort(steps)
-    rows = cells4[live4].tolist() + cells6.tolist()
-    return [rows[i] for i in order.tolist()], steps[order]
+    steps = steps[order]
+    offset = steps % chains * mask.size
+    return np.concatenate([cells4[live4], cells6])[order] + offset[:, None], steps
 
 
-def _walk(cells: bytearray, rows) -> list[int]:
-    """Apply a block's rows in order; a legal move flips every cell, and a
-    one-cell row is a probe whose value is returned."""
-    seen = []
-    for row in rows:
-        n = len(row)
-        if n == 4:
-            a, b, c, d = row
-            x = cells[a]
-            if x == cells[b] and x != cells[c] == cells[d]:
-                cells[a] = cells[b] = 1 - x
-                cells[c] = cells[d] = x
-        elif n == 6:
-            a, b, c, d, e, f = row
-            x = cells[a]
-            if x == cells[b] == cells[c] and x != cells[d] == cells[e] == cells[f]:
-                cells[a] = cells[b] = cells[c] = 1 - x
-                cells[d] = cells[e] = cells[f] = x
-        else:
-            seen.append(cells[row[0]])
-    return seen
+def _walk(cells: bytearray, rows: np.ndarray) -> list[int]:
+    """Apply rows in order; a legal move flips every cell.  The indices of the applied rows."""
+    applied = []
+    for i, a, b, c, d, e, f in zip(count(), *rows.T.tolist()):
+        x = cells[a]
+        if x == cells[b] == cells[c] and x != cells[d] == cells[e] == cells[f]:
+            cells[a] = cells[b] = cells[c] = 1 - x
+            cells[d] = cells[e] = cells[f] = x
+            applied.append(i)
+    return applied
 
 
 def _advance(
     inst: ProblemInstance, cells: bytearray, steps: int, rng: np.random.Generator,
     probe: int = -1, every: int = 0,
 ) -> list[int]:
-    """Run proposals in place on the cells; with `every`, read cell `probe` after every such step.
+    """Run `steps` proposals of every chain in place on the cells, the chains
+    back to back; with `every` (one chain only), read cell `probe` after
+    every `every`-th step.
 
-    Draws come in fixed-size blocks (move kinds, then the U- and W-pairs of
-    the block's 4-cycle steps, then the triples of its 6-cycle steps), so a
-    trajectory is reproducible for a given seed and step count.
+    A block holds ``max(1, _CHUNK // chains)`` steps of all chains, so a
+    trajectory is reproducible for a given seed, step count and chain count.
     """
-    n_u, n_w = inst.n_u, inst.n_w
-    have_triples = n_u >= 3 and n_w >= 3
+    chains = len(cells) // inst.forbidden_mask.size
+    span = max(1, _CHUNK // chains)
     seen: list[int] = []
-    for done in range(0, steps, _CHUNK):
-        block = min(_CHUNK, steps - done)
-        kinds = rng.integers(0, 4, block)
-        if not have_triples:
-            kinds[kinds == _C6] = _LAZY
-        n4 = int(np.count_nonzero(kinds == _C4))
-        n6 = int(np.count_nonzero(kinds == _C6))
-        u4, w4 = _distinct_draws(rng, n_u, n4, 2), _distinct_draws(rng, n_w, n4, 2)
-        u6, w6 = _distinct_draws(rng, n_u, n6, 3), _distinct_draws(rng, n_w, n6, 3)
-        rows, at = _block_rows(inst, kinds, u4, w4, u6, w6)
+    for done in range(0, steps, span):
+        block = min(span, steps - done)
+        rows, at = _block_rows(inst, chains, *_draw_block(inst, rng, block, chains))
+        before = cells[probe] if every else 0
+        applied = _walk(cells, rows)
         if every:
-            # a probe follows the moves of its step, so it sorts after them
+            # the probe cell flips exactly at the applied moves that contain it
+            flips = at[applied][(rows[applied] == probe).any(axis=1)]
             probes = np.arange((every - 1 - done) % every, block, every)
-            order = np.argsort(np.concatenate([2 * at, 2 * probes + 1]))
-            rows += [[probe]] * len(probes)
-            rows = [rows[i] for i in order.tolist()]
-        seen += _walk(cells, rows)
+            seen += ((np.searchsorted(flips, probes, side="right") % 2) ^ before).tolist()
     return seen
 
 
-def _from_cells(inst: ProblemInstance, cells: bytearray) -> Realization:
-    """The realization whose edges are the set cells."""
-    js, us = np.nonzero(np.frombuffer(cells, dtype=np.int8).reshape(inst.n_w, inst.n_u))
-    return realization_from_global_edges(inst, zip(us.tolist(), (js + inst.n_u).tolist()))
+def _from_cells(inst: ProblemInstance, cells: bytearray) -> list[Realization]:
+    """The realizations whose edges are the set cells of each state, checked at once.
+
+    Every state is checked in numpy: no set cell is forbidden, and the row and
+    column sums are the W and U degrees.
+    """
+    n_u = inst.n_u
+    states = np.frombuffer(cells, dtype=np.int8).reshape(-1, inst.n_w, n_u)
+    bad = np.argwhere(states & inst.forbidden_mask)
+    if len(bad):
+        _, j, u = bad[0].tolist()
+        raise NotAChord(f"pair {(u, j + n_u)} is not a chord")
+    for sums, degrees, first in (
+        (states.sum(axis=1), inst.u_degrees, 0), (states.sum(axis=2), inst.w_degrees, n_u)
+    ):
+        wrong = np.argwhere(sums != degrees)
+        if len(wrong):
+            k, v = wrong[0].tolist()
+            raise ValidationError(
+                f"vertex {first + v} has degree {sums[k, v]}, instance demands {degrees[v]}"
+            )
+    _, js, us = np.nonzero(states)
+    pairs = list(zip(us.tolist(), (js + n_u).tolist()))
+    per = sum(inst.u_degrees)
+    return [Realization(inst, frozenset(pairs[k * per:(k + 1) * per])) for k in range(len(states))]
 
 
 def run_chain(
-    inst: ProblemInstance, start: Realization, steps: int, seed: int
-) -> Realization:
-    """State after `steps` proposals from `start`; deterministic given seed."""
+    inst: ProblemInstance, start: Realization, steps: int, seed: int, chains: int = 1
+) -> list[Realization]:
+    """End states of `chains` chains of `steps` proposals each from `start`.
+
+    One ``Philox(seed)`` generator drives all of them, so the result is
+    deterministic given the seed, the step count and the chain count.
+    """
     _require_chain_instance(inst)
     if start.instance != inst:
         raise PreconditionViolated("start realization belongs to a different instance")
+    if chains < 1:
+        raise PreconditionViolated("run_chain needs at least one chain")
     rng = np.random.Generator(np.random.Philox(seed))
-    cells = bytearray(start.matrix.tobytes())
+    cells = bytearray(start.matrix.tobytes() * chains)
     _advance(inst, cells, steps, rng)
     return _from_cells(inst, cells)
 
@@ -361,4 +405,4 @@ def sample_edge_frequency(
     _advance(inst, cells, burn_in, rng)
     u, w = pair
     recorded = _advance(inst, cells, n_samples * thin, rng, (w - inst.n_u) * inst.n_u + u, thin)
-    return sum(recorded), _from_cells(inst, cells)
+    return sum(recorded), _from_cells(inst, cells)[0]

@@ -286,14 +286,14 @@ def uniformity_test(
 
     _require_chain_instance(inst)
     states = enumerate_all(inst)
-    index = {s.key: i for i, s in enumerate(states)}
+    index = {s.edges: i for i, s in enumerate(states)}
     if start is None:
         start = greedy_construct(inst)
         if start is None:
             raise NotGraphical("instance is not graphical")
     counts = np.zeros(len(states), dtype=np.int64)
-    for child_seed in np.random.SeedSequence(seed).spawn(n_samples):
-        counts[index[run_chain(inst, start, steps, child_seed).key]] += 1
+    for end in run_chain(inst, start, steps, seed, chains=n_samples):
+        counts[index[end.edges]] += 1
     n_states = len(states)
     freqs = counts / n_samples
     tv = 0.5 * float(np.abs(freqs - 1.0 / n_states).sum())

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,10 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rds_kit import chain, construct, core
-from rds_kit.errors import InstanceTooSmall, NotAdjacent, PreconditionViolated, TooManyStates
+from rds_kit.errors import (
+    InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, TooManyStates, ValidationError,
+)
 from rds_kit.oracle import enumerate_all
 
 from conftest import half_regular_instances, star_matching_instances
@@ -18,7 +22,7 @@ from conftest import half_regular_instances, star_matching_instances
 def test_run_chain_reaches_both_states(f2, f2_reals):
     ra, rb = f2_reals
     seen = {
-        chain.run_chain(f2, ra, steps, seed=seed).key
+        chain.run_chain(f2, ra, steps, seed=seed)[0].key
         for seed in range(20)
         for steps in (1, 5, 20)
     }
@@ -81,14 +85,14 @@ def test_classify_move_refuses_general_instances():
 
 def test_run_chain_zero_steps(f2, f2_reals):
     ra, _ = f2_reals
-    assert chain.run_chain(f2, ra, 0, seed=3).key == ra.key
+    assert chain.run_chain(f2, ra, 0, seed=3)[0].key == ra.key
 
 
 def test_run_chain_deterministic(f3):
     start = enumerate_all(f3)[0]
-    a = chain.run_chain(f3, start, 500, seed=42)
-    b = chain.run_chain(f3, start, 500, seed=42)
-    c = chain.run_chain(f3, start, 500, seed=43)
+    [a] = chain.run_chain(f3, start, 500, seed=42)
+    [b] = chain.run_chain(f3, start, 500, seed=42)
+    [c] = chain.run_chain(f3, start, 500, seed=43)
     assert a.key == b.key
     assert isinstance(c.key, tuple)
 
@@ -99,7 +103,7 @@ def test_run_chain_f2_frequency(f2, f2_reals):
     hits = 0
     n = 400
     for seed in range(n):
-        final = chain.run_chain(f2, ra, 60, seed=seed)
+        [final] = chain.run_chain(f2, ra, 60, seed=seed)
         hits += final.key == ra.key
     assert 0.42 <= hits / n <= 0.58
 
@@ -109,7 +113,7 @@ def test_propose_step_single_state_instance(f4):
     r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
     state = r4
     for seed in range(50):
-        state = chain.run_chain(f4, state, 1, seed=seed)
+        [state] = chain.run_chain(f4, state, 1, seed=seed)
         assert state.key == r4.key
 
 
@@ -117,7 +121,7 @@ def test_run_chain_single_state(f4):
     r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
     for seed in range(5):
         for steps in (1, 50, 1000):
-            assert chain.run_chain(f4, r4, steps, seed=seed).key == r4.key
+            assert chain.run_chain(f4, r4, steps, seed=seed)[0].key == r4.key
 
 
 def test_exact_kernel_f2(f2):
@@ -224,32 +228,33 @@ def test_legal_moves_and_kernel_match_pairwise_with_c6_moves(f2, f3, roadmap_4x4
 def _assert_cell_rule_matches_try_moves(inst):
     """Each ordered draw's row, run alone through the walker, moves as try_c4/try_c6 say.
 
-    The rows of all draws of one kind are built as one block; a draw the
-    builder drops must be illegal at every state.
+    The rows of all draws of one kind are built as one block of one chain; a
+    draw the builder drops must be illegal at every state.
     """
     states = enumerate_all(inst)
     n_u = inst.n_u
-    for kind, r, try_move in ((chain._C4, 2, chain.try_c4), (chain._C6, 3, chain.try_c6)):
+    for r, try_move in ((2, chain.try_c4), (3, chain.try_c6)):
         us = list(permutations(range(n_u), r))
         ws = list(permutations(range(inst.n_w), r))
         draws = [(u, w) for u in us for w in ws]
         u_arr = np.array([u for u, _ in draws]).reshape(-1, r)
         w_arr = np.array([w for _, w in draws]).reshape(-1, r)
-        none = np.zeros((0, 5 - r), dtype=np.int64)  # no draws of the other kind
-        arrays = (u_arr, w_arr, none, none) if r == 2 else (none, none, u_arr, w_arr)
-        rows, steps = chain._block_rows(inst, np.full(len(draws), kind), *arrays)
-        row_of = dict(zip(steps.tolist(), rows))
+        at = np.arange(len(draws))
+        none = (at[:0], np.zeros((0, 5 - r), dtype=np.int64), np.zeros((0, 5 - r), dtype=np.int64))
+        arrays = (at, u_arr, w_arr, *none) if r == 2 else (*none, at, u_arr, w_arr)
+        rows, steps = chain._block_rows(inst, 1, *arrays)
+        row_of = dict(zip(steps.tolist(), rows[:, None]))
         for state in states:
             start = bytearray(state.matrix.tobytes())
             for i, (utuple, wtuple) in enumerate(draws):
                 toggle = try_move(inst.forbidden, state.edges, utuple, tuple(w + n_u for w in wtuple))
                 cells = bytearray(start)
-                if i in row_of:
-                    assert chain._walk(cells, [row_of[i]]) == []
+                applied = chain._walk(cells, row_of[i]) if i in row_of else []
                 if toggle is None:
-                    assert cells == start, (state.key, utuple, wtuple)
+                    assert applied == [] and cells == start, (state.key, utuple, wtuple)
                 else:
-                    after = chain._from_cells(inst, cells)
+                    assert applied == [0]
+                    [after] = chain._from_cells(inst, cells)
                     assert after.edges == state.edges.symmetric_difference(toggle), (utuple, wtuple)
 
 
@@ -269,6 +274,68 @@ def test_cell_rule_matches_try_moves(f2, f3, roadmap_4x4):
 @given(half_regular_instances())
 def test_cell_rule_matches_try_moves_half_regular_property(inst):
     _assert_cell_rule_matches_try_moves(inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_regular_instances(), st.integers(2, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_block_rows_keep_chains_apart_property(inst, chains, steps, seed):
+    """Chain k's rows index only its own cells, keep its step order, and are
+    the rows its own draws give as a block of one chain."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    at4, u4, w4, at6, u6, w6 = chain._draw_block(inst, rng, steps, chains)
+    rows, at = chain._block_rows(inst, chains, at4, u4, w4, at6, u6, w6)
+    size = inst.n_u * inst.n_w
+    owner = at % chains
+    assert (rows // size == owner[:, None]).all()
+    for k in range(chains):
+        assert (np.diff(at[owner == k]) > 0).all()
+        mine4, mine6 = at4 % chains == k, at6 % chains == k
+        alone, alone_at = chain._block_rows(
+            inst, 1, at4[mine4] // chains, u4[mine4], w4[mine4], at6[mine6] // chains, u6[mine6], w6[mine6]
+        )
+        assert (rows[owner == k] - k * size == alone).all()
+        assert (at[owner == k] // chains == alone_at).all()
+
+
+# SHA-256 of the end states of single chains (n = 5, 30 and 150, seeds 0-2),
+# as the one-chain walker wrote them before run_chain walked many chains at once.
+SINGLE_CHAIN_SHA256 = "c426e806be26fde34cc6b0a508d0fb8c944a4a36dcbb2c8736bd408240fddf07"
+
+
+def test_single_chain_end_states_match_pinned_digest():
+    digest = hashlib.sha256()
+    for n, d, steps in ((5, 2, 3000), (30, 3, 20_000), (150, 10, 20_000)):
+        inst = core.bipartite_instance(
+            [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
+        )
+        start = construct.greedy_construct(inst)
+        for seed in (0, 1, 2):
+            [end] = chain.run_chain(inst, start, steps, seed, chains=1)
+            digest.update(repr(end.key).encode())
+    assert digest.hexdigest() == SINGLE_CHAIN_SHA256
+
+
+def test_run_chain_many_chains(f2, f2_reals):
+    ra, rb = f2_reals
+    ends = chain.run_chain(f2, ra, 60, seed=5, chains=400)
+    assert ends == chain.run_chain(f2, ra, 60, seed=5, chains=400)
+    assert {end.key for end in ends} == {ra.key, rb.key}
+    assert 0.42 <= sum(end.key == ra.key for end in ends) / 400 <= 0.58
+    with pytest.raises(PreconditionViolated):
+        chain.run_chain(f2, ra, 60, seed=5, chains=0)
+
+
+def test_from_cells_checks_every_state(f2, f2_reals):
+    ra, rb = f2_reals
+    good = ra.matrix.tobytes()
+    assert chain._from_cells(f2, bytearray(good + rb.matrix.tobytes())) == [ra, rb]
+    diagonal = bytes([1, 0, 0, 0, 1, 0, 0, 0, 1])  # right margins, every edge forbidden
+    with pytest.raises(NotAChord):
+        chain._from_cells(f2, bytearray(good + diagonal))
+    short = bytearray(good)
+    short[good.index(1)] = 0  # one edge missing
+    with pytest.raises(ValidationError):
+        chain._from_cells(f2, bytearray(good) + short)
 
 
 def test_exact_kernel_guard(f3):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rds_kit import cli, oracle, paths
+from rds_kit import cli, oracle, paths, swaps
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,6 +178,30 @@ def test_audit_paths_verbose_digest_on_half_regular_5(capsys, half_regular_5_pat
     assert len(sweep_c6) == 6 and all(t is not None for t in sweep_c6)
 
 
+# SHA-256 of `rds-kit distance` from the first state to every state (itself
+# included) on F2 and on the ROADMAP 4x4 instance, as reported when the command
+# searched twice.
+DISTANCE_REPORTS_SHA256 = "84985171f1dbe15508e133143ee72f05702f3327e2129fcdcec6e0b01bd89de0"
+
+
+def test_distance_runs_one_search(capsys, f2_path, roadmap_4x4_path, monkeypatch):
+    searches = []
+    search = swaps.max_alternating_circuit_count
+    monkeypatch.setattr(
+        swaps, "max_alternating_circuit_count", lambda *a, **k: searches.append(1) or search(*a, **k)
+    )
+    digest = hashlib.sha256()
+    for path in (f2_path, roadmap_4x4_path):
+        states = oracle.enumerate_all(cli._load_instance(path))
+        first = json.dumps(states[0].to_pairs())
+        for state in states:
+            searches.clear()
+            assert cli.main(["distance", path, "--from", first, "--to", json.dumps(state.to_pairs())]) == 0
+            assert len(searches) == 1
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == DISTANCE_REPORTS_SHA256
+
+
 def test_kernel_matches_golden(capsys, roadmap_4x4_path):
     """The golden report predates building the kernel from generated moves."""
     assert cli.main(["kernel", roadmap_4x4_path]) == 0
@@ -217,14 +241,15 @@ def test_construct_matches_golden(capsys, tmp_path):
     assert "".join(reports) == golden
 
 
-# SHA-256 of chain-driven reports, as the set-based walker wrote them before the
-# flat-cell walker replaced it.  A change that alters trajectories on purpose must
-# replace these digests and say so.
+# SHA-256 of chain-driven reports.  The count-approx digest dates from the
+# set-based walker; the two sample digests from when `sample --samples K` became
+# one run of K chains driven by one generator.  A change that alters
+# trajectories on purpose must replace these digests and say so.
 PINNED_CHAIN_REPORTS = [
     ((5, 2), ["sample", "--steps", "2000", "--samples", "200", "--seed", "7"],
-     "206d17d1ef5734ba72d773da451b95b27940a3936b49ffdb63d7c93107f74eba"),
+     "9490cc082409d51616f3161e5c730bd24ce33bad4ad42326effcb5be7927d892"),
     ((150, 10), ["sample", "--steps", "20000", "--samples", "2", "--seed", "1"],
-     "6a4fcb639bbb4a3479178fa9a7b194f4a9b835f89e3d76a568525c695015a5c8"),
+     "cb5219269a3b22378a998d1df5fc23811a97055eedbe96b86cd700399dbfb6cb"),
     ((6, 3), ["count", "--approx", "--samples", "1000", "--seed", "0"],
      "86e74069c1e770c4a0358e54d8685f7a7f44f431d587b3c98b7acd4d5334e8d0"),
 ]
@@ -331,6 +356,9 @@ def test_usage_error_exit_two(capsys, f2_path):
         ["bench", "--max-states", "-1"],
         ["enumerate", "--max-delta", "-1"],
         ["distance", "--from", "[]", "--to", "[]", "--max-delta", "-1"],
+        ["sample", "--seed", "-1"],
+        ["count", "--approx", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
     ],
 )
 def test_bad_count_exit_two(capsys, f2_path, argv):

@@ -264,7 +264,7 @@ def test_sampling_leaves_the_realization_index_empty():
         [3] * 5, [3] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
     )
     start = greedy_construct(inst)
-    run_chain(inst, start, 500, seed=1)
+    run_chain(inst, start, 500, seed=1, chains=3)
     assert inst.known_realizations == {}
 
 
