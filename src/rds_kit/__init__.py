@@ -7,21 +7,18 @@ guarantee, and count realizations exactly or by sampling.
 
 from .core import (
     ChordMatrix,
-    ChordStatus,
     ProblemInstance,
     Realization,
     adjacency_matrix,
     bipartite_instance,
-    chord_status,
     from_directed,
     general_instance,
     instance_to_json,
-    load_instance,
     make_realization,
     to_directed,
     validate_instance,
 )
-from .construct import greedy_construct, is_graphical, neighbor_order, repair_swap
+from .construct import greedy_construct, neighbor_order, repair_swap
 from .swaps import (
     ChordCircuit,
     apply_circuit,
@@ -30,7 +27,6 @@ from .swaps import (
     is_f_compatible,
     make_circuit,
     max_alternating_circuit_count,
-    pv_pairs,
     swap_distance,
 )
 from .chain import (

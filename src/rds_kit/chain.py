@@ -81,32 +81,33 @@ def _distinct_draws(rng: np.random.Generator, n: int, size: int, r: int) -> np.n
     return np.array(cols).T
 
 
-def try_c4(forbidden, edges, upair, wpair) -> tuple[Pair, ...] | None:
-    """Chords to toggle for a legal 4-cycle move, else None."""
+def try_c4(partners, edges, upair, wpair) -> tuple[Pair, ...] | None:
+    """Chords to toggle for a legal 4-cycle move, else None.
+
+    ``partners`` is the instance's :attr:`~rds_kit.core.ProblemInstance.forbidden_partners`.
+    """
     a, b = upair
     c, d = wpair
-    p1, p2, p3, p4 = (a, c), (a, d), (b, c), (b, d)
-    if p1 in forbidden or p2 in forbidden or p3 in forbidden or p4 in forbidden:
+    if c in partners[a] or d in partners[a] or c in partners[b] or d in partners[b]:
         return None
+    p1, p2, p3, p4 = (a, c), (a, d), (b, c), (b, d)
     e1, e2, e3, e4 = p1 in edges, p2 in edges, p3 in edges, p4 in edges
     if (e1 and e4 and not e2 and not e3) or (e2 and e3 and not e1 and not e4):
         return (p1, p2, p3, p4)
     return None
 
 
-def try_c6(forbidden, edges, utriple, wtriple) -> tuple[Pair, ...] | None:
-    """Chords to toggle for a legal F-compatible 6-cycle move, else None."""
+def try_c6(partners, edges, utriple, wtriple) -> tuple[Pair, ...] | None:
+    """Chords to toggle for a legal F-compatible 6-cycle move, else None.
+
+    ``partners`` is the instance's :attr:`~rds_kit.core.ProblemInstance.forbidden_partners`.
+    """
     partner = {}
     for u in utriple:
-        p = None
-        for w in wtriple:
-            if (u, w) in forbidden:
-                if p is not None:
-                    return None
-                p = w
-        if p is None:
+        hit = [w for w in wtriple if w in partners[u]]
+        if len(hit) != 1:
             return None
-        partner[u] = p
+        partner[u] = hit[0]
     if len(set(partner.values())) != 3:
         return None
     hexagon = [(u, w) for u in utriple for w in wtriple if partner[u] != w]
@@ -130,13 +131,13 @@ def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair,
     4-cycle moves come first, then 6-cycle moves, each in the
     lexicographic order of their U- and W-vertex tuples.
     """
-    forbidden = inst.forbidden
+    partners = inst.forbidden_partners
     us = range(inst.n_u)
     ws = range(inst.n_u, inst.n_vertices)
     for kind, r, try_move in (("c4", 2, try_c4), ("c6", 3, try_c6)):
         for utuple in combinations(us, r):
             for wtuple in combinations(ws, r):
-                toggle = try_move(forbidden, edges, utuple, wtuple)
+                toggle = try_move(partners, edges, utuple, wtuple)
                 if toggle is not None:
                     yield kind, toggle
 
@@ -282,11 +283,11 @@ def classify_move(G: Realization, H: Realization) -> str | None:
     delta = G.edges ^ H.edges
     us = tuple(sorted({p[0] for p in delta}))
     ws = tuple(sorted({p[1] for p in delta}))
-    forbidden = G.instance.forbidden
+    partners = G.instance.forbidden_partners
     if len(delta) == 4 and len(us) == len(ws) == 2:
-        return "c4" if try_c4(forbidden, G.edges, us, ws) is not None else None
+        return "c4" if try_c4(partners, G.edges, us, ws) is not None else None
     if len(delta) == 6 and len(us) == len(ws) == 3:
-        return "c6" if try_c6(forbidden, G.edges, us, ws) is not None else None
+        return "c6" if try_c6(partners, G.edges, us, ws) is not None else None
     return None
 
 

@@ -28,7 +28,7 @@ def _alive_partner(
     inst: ProblemInstance, y: int, residuals: Mapping[int, int]
 ) -> int | None:
     """The unique alive forbidden partner of y, or None; NotNormal when several."""
-    partners = [p for p in inst.forbidden_partners.get(y, ()) if p in residuals]
+    partners = [p for p in inst.forbidden_partners[y] if p in residuals]
     if len(partners) > 1:
         raise NotNormal(f"vertex {y} has forbidden partners {sorted(partners)}")
     return partners[0] if partners else None
@@ -114,10 +114,6 @@ def greedy_construct(inst: ProblemInstance) -> Realization | None:
     if any(residuals.values()):
         return None
     return realization_from_global_edges(inst, edges)
-
-
-def is_graphical(inst: ProblemInstance) -> bool:
-    return greedy_construct(inst) is not None
 
 
 def repair_swap(real: Realization, x: int, y: int, z: int) -> ChordCircuit:

@@ -9,9 +9,7 @@ interfaces speak class-local indices; the conversion happens here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -40,20 +38,6 @@ _KINDS = (KIND_BIPARTITE, KIND_GENERAL, KIND_DIRECTED)
 Pair = tuple[int, int]
 
 
-class ChordStatus(Enum):
-    """Classification of a vertex pair.
-
-    EDGE / NON_EDGE_CHORD need a realization; a bare instance query reports
-    a chord pair as CHORD because the instance alone cannot split the two.
-    """
-
-    EDGE = "edge"
-    NON_EDGE_CHORD = "non_edge_chord"
-    FORBIDDEN_NON_CHORD = "forbidden_non_chord"
-    INTRA_CLASS_NON_CHORD = "intra_class_non_chord"
-    CHORD = "chord"
-
-
 def norm_pair(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
@@ -70,9 +54,13 @@ def _as_int(value, what: str) -> int:
 class ProblemInstance:
     """A degree sequence plus a forbidden star and partial matching.
 
-    Build through :func:`validate_instance` or the factory helpers; direct
-    construction skips validation.  ``u_degrees`` holds the full degree
-    sequence for general instances (``w_degrees`` is then empty).
+    Build through :func:`validate_instance` or the factory helpers, which
+    validate; direct construction skips validation and is for code that
+    derives an instance from a valid one, such as the counter's branch
+    children.  ``u_degrees`` holds the full degree sequence for general
+    instances (``w_degrees`` is then empty).  The forbidden pairs are read
+    through one index, :attr:`forbidden_partners`, and its numpy view
+    :attr:`forbidden_mask`.
     """
 
     kind: str
@@ -132,22 +120,16 @@ class ProblemInstance:
     # -- forbidden structure -------------------------------------------
 
     @cached_property
-    def forbidden(self) -> frozenset[Pair]:
-        """Star plus matching, de-duplicated."""
-        pairs = set(self.matching)
+    def forbidden_partners(self) -> tuple[frozenset[int], ...]:
+        """Forbidden partners of each vertex, indexed by global id: its star and matching pairs."""
+        partners: list[set[int]] = [set() for _ in range(self.n_vertices)]
+        pairs = list(self.matching)
         if self.star_center is not None:
-            for leaf in self.star_leaves:
-                pairs.add(norm_pair(self.star_center, leaf))
-        return frozenset(pairs)
-
-    @cached_property
-    def forbidden_partners(self) -> dict[int, tuple[int, ...]]:
-        """Vertex -> its forbidden partners, ascending; vertices without one are absent."""
-        partners: dict[int, list[int]] = {}
-        for a, b in self.forbidden:
-            partners.setdefault(a, []).append(b)
-            partners.setdefault(b, []).append(a)
-        return {v: tuple(sorted(ps)) for v, ps in partners.items()}
+            pairs += [(self.star_center, leaf) for leaf in self.star_leaves]
+        for a, b in pairs:
+            partners[a].add(b)
+            partners[b].add(a)
+        return tuple(map(frozenset, partners))
 
     @cached_property
     def forbidden_mask(self) -> np.ndarray:
@@ -188,31 +170,31 @@ class ProblemInstance:
         return (a < self.n_u) == (b < self.n_u)
 
     def is_chord(self, a: int, b: int) -> bool:
+        n = self.n_vertices
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexOutOfRange(f"bad vertex pair {(a, b)}")
         if a == b or self.same_class(a, b):
             return False
-        return norm_pair(a, b) not in self.forbidden
+        return b not in self.forbidden_partners[a]
 
     def chord_pairs(self) -> Iterator[Pair]:
         """All chords, lexicographically."""
-        if self.is_bipartite_like:
-            for u in range(self.n_u):
-                for w in range(self.n_u, self.n_vertices):
-                    if (u, w) not in self.forbidden:
-                        yield (u, w)
-        else:
-            n = self.n_vertices
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if (a, b) not in self.forbidden:
-                        yield (a, b)
+        for a in range(self.n_u if self.is_bipartite_like else self.n_vertices):
+            for b in self.chords_at(a):
+                if b > a:
+                    yield (a, b)
 
     def chords_at(self, v: int) -> list[int]:
         """Chord partners of v, ascending."""
+        n = self.n_vertices
+        if not 0 <= v < n:
+            raise IndexOutOfRange(f"vertex {v} out of range")
         if self.is_bipartite_like:
-            others = range(self.n_u, self.n_vertices) if v < self.n_u else range(self.n_u)
+            others = range(self.n_u, n) if v < self.n_u else range(self.n_u)
         else:
-            others = (x for x in range(self.n_vertices) if x != v)
-        return [x for x in others if norm_pair(v, x) not in self.forbidden]
+            others = (x for x in range(n) if x != v)
+        forbidden = self.forbidden_partners[v]
+        return [x for x in others if x not in forbidden]
 
     @cached_property
     def chord_count(self) -> int:
@@ -300,24 +282,6 @@ def _check_edges(inst: ProblemInstance, edge_set: frozenset[Pair]) -> None:
             raise ValidationError(
                 f"vertex {v} has degree {d}, instance demands {inst.degree(v)}"
             )
-
-
-def chord_status(
-    inst: ProblemInstance, a: int, b: int, realization: Realization | None = None
-) -> ChordStatus:
-    """Classify the pair (a, b); needs a realization to split edge/non-edge."""
-    n = inst.n_vertices
-    if a == b or not 0 <= a < n or not 0 <= b < n:
-        raise IndexOutOfRange(f"bad vertex pair {(a, b)}")
-    if inst.same_class(a, b):
-        return ChordStatus.INTRA_CLASS_NON_CHORD
-    if norm_pair(a, b) in inst.forbidden:
-        return ChordStatus.FORBIDDEN_NON_CHORD
-    if realization is None:
-        return ChordStatus.CHORD
-    if realization.has_edge(a, b):
-        return ChordStatus.EDGE
-    return ChordStatus.NON_EDGE_CHORD
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +495,6 @@ def instance_to_json(inst: ProblemInstance) -> dict:
     return out
 
 
-def load_instance(path: str) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_instance(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # matrix view
 # ---------------------------------------------------------------------------
@@ -583,15 +542,17 @@ class ChordMatrix:
 
 
 def _forbidden_mask(inst: ProblemInstance) -> np.ndarray:
+    partners = inst.forbidden_partners
     if inst.is_bipartite_like:
         mask = np.zeros((inst.n_w, inst.n_u), dtype=bool)
-        for a, b in inst.forbidden:
-            mask[b - inst.n_u, a] = True
+        for u in range(inst.n_u):
+            for w in partners[u]:
+                mask[w - inst.n_u, u] = True
     else:
-        n = inst.n_vertices
-        mask = np.eye(n, dtype=bool)
-        for a, b in inst.forbidden:
-            mask[a, b] = mask[b, a] = True
+        mask = np.eye(inst.n_vertices, dtype=bool)
+        for a, bs in enumerate(partners):
+            for b in bs:
+                mask[a, b] = True
     return mask
 
 

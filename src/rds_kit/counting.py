@@ -5,8 +5,16 @@ branch adds it to the star, the present branch additionally lowers d(s) and
 d(v).  A center with no remaining degree is retired (deleted) and the next
 vertex hosts a fresh empty star, so both branches stay inside the
 star+matching class and the present branch preserves half-regularity.
-The approximate counter estimates each branch probability from chain samples
-and multiplies the majority-branch reciprocals.
+
+Children are built directly in global ids and are not validated again: a
+star, a matching and degrees that only fall keep every structural
+condition of a valid parent.  Only capacity can fail, when a retirement
+leaves a W-vertex more demand than there are U-vertices; such a branch has
+no realization, and its recursion ends in :class:`Exhausted` with a
+positive degree left, which counts 0.
+
+The approximate counter estimates each branch probability from chain
+samples and multiplies the majority-branch reciprocals.
 """
 
 from __future__ import annotations
@@ -15,33 +23,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    KIND_BIPARTITE,
-    Pair,
-    ProblemInstance,
-    bipartite_instance,
-)
+from .core import KIND_BIPARTITE, Pair, ProblemInstance
 from .chain import default_burn_in, sample_edge_frequency
 from .construct import greedy_construct
-from .errors import DegreeExceedsChords, Exhausted, PreconditionViolated
+from .errors import Exhausted, PreconditionViolated
 from .oracle import enumerate_all
 
 
 def _delete_u_vertex(inst: ProblemInstance, s: int) -> ProblemInstance:
-    """Drop a retired zero-degree U-vertex, reindexing the class."""
-    keep = [u for u in range(inst.n_u) if u != s]
-    remap = {old: new for new, old in enumerate(keep)}
-    u_deg = [inst.u_degrees[u] for u in keep]
-    matching = [
-        (remap[a], b - inst.n_u) for a, b in inst.matching if a != s
-    ]
-    return bipartite_instance(
-        u_deg,
+    """Drop a retired zero-degree U-vertex and its star; every later global id moves down one."""
+    return ProblemInstance(
+        KIND_BIPARTITE,
+        inst.u_degrees[:s] + inst.u_degrees[s + 1:],
         inst.w_degrees,
-        star_center=None,
-        star_leaves=(),
-        matching=matching,
-        kind=KIND_BIPARTITE,
+        None,
+        frozenset(),
+        frozenset((a - (a > s), b - 1) for a, b in inst.matching if a != s),
     )
 
 
@@ -50,21 +47,15 @@ def _branch_child(
 ) -> ProblemInstance | None:
     """The branch on chord (s, w): w joins the star of s, and the present
     branch also spends one degree of s and of w (None if either has none)."""
-    u_deg = list(inst.u_degrees)
-    w_deg = list(inst.w_degrees)
+    u_deg, w_deg = inst.u_degrees, inst.w_degrees
     if present:
-        if u_deg[s] < 1 or w_deg[w_global - inst.n_u] < 1:
+        j = w_global - inst.n_u
+        if u_deg[s] < 1 or w_deg[j] < 1:
             return None
-        u_deg[s] -= 1
-        w_deg[w_global - inst.n_u] -= 1
-    leaves = sorted(j - inst.n_u for j in (set(inst.star_leaves) | {w_global}))
-    return bipartite_instance(
-        u_deg,
-        w_deg,
-        star_center=s,
-        star_leaves=leaves,
-        matching=[(a, b - inst.n_u) for a, b in inst.matching],
-        kind=KIND_BIPARTITE,
+        u_deg = u_deg[:s] + (u_deg[s] - 1,) + u_deg[s + 1:]
+        w_deg = w_deg[:j] + (w_deg[j] - 1,) + w_deg[j + 1:]
+    return ProblemInstance(
+        KIND_BIPARTITE, u_deg, w_deg, s, inst.star_leaves | {w_global}, inst.matching
     )
 
 
@@ -111,9 +102,6 @@ def exact_count(inst: ProblemInstance, max_chords: int = 40, method: str = "enum
     def rec(work: ProblemInstance) -> int:
         try:
             _, absent, present = branch_split(work)
-        except DegreeExceedsChords:
-            # retiring a center left a W-vertex more demand than U-vertices
-            return 0
         except Exhausted:
             degrees = list(work.u_degrees) + list(work.w_degrees)
             return 1 if all(d == 0 for d in degrees) else 0

@@ -160,12 +160,12 @@ def sweep_cycle(
         raise NotAMilestonePair("realizations do not differ by exactly this cycle")
     us, ws = _oriented_cycle(G, cycle)
     ell = len(us)
-    forbidden = inst.forbidden
+    partners = inst.forbidden_partners
     edges = set(G.edges)
     moves: list[tuple[str, tuple[Pair, ...]]] = []
 
     def emit(kind: str, utuple: tuple[int, ...], wtuple: tuple[int, ...]) -> None:
-        toggle = (try_c4 if kind == "c4" else try_c6)(forbidden, edges, utuple, wtuple)
+        toggle = (try_c4 if kind == "c4" else try_c6)(partners, edges, utuple, wtuple)
         if toggle is None:
             raise AuditFailed(f"sweep step is not a legal {kind} move")
         moves.append((kind, toggle))
@@ -211,7 +211,7 @@ def _double_step(emit, inst: ProblemInstance, edges, u1, us, ws, j) -> None:
     else:
         emit("c6", (u1, u_mid, u_top), (w_cur, w_mid, w_top))
         return
-    legal_now = try_c4(inst.forbidden, edges, *outer) is not None
+    legal_now = try_c4(inst.forbidden_partners, edges, *outer) is not None
     first, second = (outer, inner) if legal_now else (inner, outer)
     emit("c4", *first)
     emit("c4", *second)

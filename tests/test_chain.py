@@ -247,7 +247,8 @@ def _assert_cell_rule_matches_try_moves(inst):
         for state in states:
             start = bytearray(state.matrix.tobytes())
             for i, (utuple, wtuple) in enumerate(draws):
-                toggle = try_move(inst.forbidden, state.edges, utuple, tuple(w + n_u for w in wtuple))
+                wglobal = tuple(w + n_u for w in wtuple)
+                toggle = try_move(inst.forbidden_partners, state.edges, utuple, wglobal)
                 cells = bytearray(start)
                 applied = chain._walk(cells, row_of[i]) if i in row_of else []
                 if toggle is None:

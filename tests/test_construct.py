@@ -155,10 +155,13 @@ def test_greedy_completeness_small_general():
 
 
 def _alive_partner_by_scan(inst, y, residuals):
-    """Reference: scan the whole forbidden set for the alive partners of y."""
+    """Reference: scan the raw star and matching fields for the alive partners of y."""
+    pairs = set(inst.matching)
+    if inst.star_center is not None:
+        pairs |= {core.norm_pair(inst.star_center, leaf) for leaf in inst.star_leaves}
     partners = [
         (b if a == y else a)
-        for a, b in inst.forbidden
+        for a, b in pairs
         if y in (a, b) and (b if a == y else a) in residuals
     ]
     if len(partners) > 1:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rds_kit import core
 from rds_kit.chain import run_chain
-from rds_kit.construct import greedy_construct
+from rds_kit.construct import greedy_construct, neighbor_order
 from rds_kit.errors import (
     DegreeExceedsChords,
     DegreeSumMismatch,
@@ -23,6 +23,7 @@ from rds_kit.errors import (
     ValidationError,
 )
 from rds_kit.oracle import enumerate_all
+from rds_kit.swaps import make_circuit
 
 from conftest import digraph_bruteforce, subset_bruteforce
 
@@ -84,33 +85,44 @@ def test_star_center_may_also_be_matched():
     inst = core.bipartite_instance(
         [1, 1], [1, 1], star_center=0, star_leaves=[0], matching=[(0, 0)]
     )
-    assert len(inst.forbidden) == 1  # stored de-duplicated
+    # the leaf w0 is also u0's matching partner: one forbidden pair, held once
+    assert inst.forbidden_partners == (frozenset({2}), frozenset(), frozenset({0}), frozenset())
+    assert inst.forbidden_mask.sum() == 1
+    # a partner held twice would look like two alive partners and raise NotNormal
+    alive = {v: inst.degree(v) for v in range(inst.n_vertices)}
+    assert [y for _, _, y, _ in neighbor_order(inst, 1, alive)] == [2, 3]
+    assert greedy_construct(inst) is not None
 
 
-# -- chord_status -----------------------------------------------------------
+# -- chord queries ----------------------------------------------------------
 
 
-def test_chord_status_examples(f1, f2):
-    assert core.chord_status(f2, f2.u(1), f2.w(1)) is core.ChordStatus.FORBIDDEN_NON_CHORD
-    assert core.chord_status(f2, f2.u(0), f2.w(1)) is core.ChordStatus.CHORD
-    assert core.chord_status(f1, f1.u(0), f1.u(1)) is core.ChordStatus.INTRA_CLASS_NON_CHORD
-    with pytest.raises(IndexOutOfRange):
-        core.chord_status(f1, 0, 99)
-
-
-def test_chord_status_partition_with_realization(f2, f2_reals):
-    ra, _ = f2_reals
-    seen = {status: 0 for status in core.ChordStatus}
+def test_is_chord_examples(f1, f2):
+    assert not f2.is_chord(f2.u(1), f2.w(1))  # forbidden
+    assert f2.is_chord(f2.u(0), f2.w(1))
+    assert not f1.is_chord(f1.u(0), f1.u(1))  # same class
     n = f2.n_vertices
-    for a in range(n):
-        for b in range(a + 1, n):
-            seen[core.chord_status(f2, a, b, ra)] += 1
-    assert seen[core.ChordStatus.CHORD] == 0  # fully classified with a realization
-    assert seen[core.ChordStatus.EDGE] == 3
-    assert seen[core.ChordStatus.NON_EDGE_CHORD] == 3
-    assert seen[core.ChordStatus.FORBIDDEN_NON_CHORD] == 3
-    assert seen[core.ChordStatus.INTRA_CLASS_NON_CHORD] == 6
-    assert sum(seen.values()) == n * (n - 1) // 2
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert sum(f2.is_chord(a, b) for a, b in pairs) == f2.chord_count == 6
+    assert sum(f2.same_class(a, b) for a, b in pairs) == 6
+    assert f2.forbidden_mask.sum() == 3
+
+
+def test_chord_queries_reject_out_of_range_vertices():
+    inst = core.bipartite_instance([1, 1], [1, 1], matching=[(0, 0)])
+    for a, b in ((0, 99), (-1, 2), (99, 0), (2, -1)):
+        with pytest.raises(IndexOutOfRange):
+            inst.is_chord(a, b)
+    for v in (99, 4, -1):
+        with pytest.raises(IndexOutOfRange):
+            inst.chords_at(v)
+    with pytest.raises(IndexOutOfRange):
+        make_circuit(inst, (0, 99, 1, 98))
+    general = core.general_instance([1, 1, 1, 1])
+    with pytest.raises(IndexOutOfRange):
+        general.is_chord(0, 7)
+    with pytest.raises(IndexOutOfRange):
+        general.chords_at(7)
 
 
 # -- directed translation ---------------------------------------------------

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rds_kit import core, counting
-from rds_kit.errors import Exhausted
+from rds_kit.errors import DegreeExceedsChords, Exhausted
 from rds_kit.oracle import enumerate_all
 
-from conftest import star_matching_instances, subset_bruteforce
+from conftest import half_regular_instances, star_matching_instances, subset_bruteforce
 
 
 # -- branch_split -------------------------------------------------------------
@@ -46,23 +47,52 @@ def test_branch_split_present_none_when_w_is_full():
     assert v == inst.w(0) and present is None
 
 
-def test_branch_instances_stay_star_plus_matching(f2):
-    # both branches revalidate and the present branch stays half-regular
-    work = f2
-    for _ in range(6):
+def _check_branch_tree(inst) -> int:
+    """Check every child of the branch tree of inst, retired or not, against validation.
+
+    A child must equal its own JSON round trip through ``validate_instance``,
+    except one that a retirement left with a W-vertex demanding more than
+    its U-class holds: that child has no realization.  Children of a
+    half-regular instance stay half-regular.  Returns the number of such
+    over-demanded children.
+    """
+    over = 0
+
+    def check(child) -> None:
+        nonlocal over
         try:
-            (s, v), absent, present = counting.branch_split(work)
+            assert core.validate_instance(core.instance_to_json(child)) == child
+        except DegreeExceedsChords:
+            assert enumerate_all(child) == []
+            over += 1
+
+    def walk(work) -> None:
+        try:
+            _, absent, present = counting.branch_split(work)
         except Exhausted:
-            break
-        for branch in (absent, present):
-            if branch is None:
+            return
+        for child in (absent, present):
+            if child is None:
                 continue
-            assert core.validate_instance(core.instance_to_json(branch)) == branch
-        if present is not None:
-            assert present.half_regular
-            work = present
-        else:
-            work = absent
+            check(child)
+            check(counting.retire_exhausted_centers(child))
+            if work.half_regular:
+                assert child.half_regular
+            walk(child)
+
+    walk(inst)
+    return over
+
+
+def test_branch_instances_stay_star_plus_matching(f1, f2, f3, f4, f5):
+    for inst in (f1, f2, f3, f4, f5):
+        _check_branch_tree(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(star_matching_instances(), half_regular_instances()))
+def test_branch_instances_stay_star_plus_matching_property(inst):
+    _check_branch_tree(inst)
 
 
 # -- exact count ----------------------------------------------------------------
@@ -86,6 +116,17 @@ def test_exact_count_branch_agrees_with_enumeration(f1, f2, f3, f4, f5):
     assert counting.exact_count(roadmap_4x4) == 15
     for inst in (f1, f2, f3, f4, f5, roadmap_4x4, half_regular_5x5):
         assert counting.exact_count(inst, method="branch") == counting.exact_count(inst)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (5, 3)])
+def test_exact_count_branch_through_over_demanded_children(n, d):
+    # u = w = [d]*n, star 0 -> {w1}, diagonal matching: the recursion passes
+    # children whose retirement leaves a W-vertex more demand than U-vertices
+    inst = core.bipartite_instance(
+        [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(n)]
+    )
+    assert _check_branch_tree(inst) > 0
+    assert counting.exact_count(inst, method="branch") == counting.exact_count(inst)
 
 
 @settings(max_examples=150, deadline=None)

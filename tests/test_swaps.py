@@ -109,7 +109,7 @@ def test_apply_swap_preserves_degrees_everywhere(f3):
             after = swaps.apply_circuit(real, circ)
             for v in range(f3.n_vertices):
                 assert sum(1 for e in after.edges if v in e) == f3.degree(v)
-            assert not (after.edges & f3.forbidden)
+            assert not after.matrix[f3.forbidden_mask].any()
             assert swaps.apply_circuit(after, circ).key == real.key  # a swap undoes itself
 
 
@@ -118,17 +118,17 @@ def test_apply_swap_preserves_degrees_everywhere(f3):
 
 def test_find_c4_absent_on_forbidden(f2, f2_reals):
     ra, _ = f2_reals
-    assert chain.try_c4(f2.forbidden, ra.edges, (0, 1), (f2.w(1), f2.w(2))) is None
+    assert chain.try_c4(f2.forbidden_partners, ra.edges, (0, 1), (f2.w(1), f2.w(2))) is None
 
 
 def test_find_c4_absent_on_f3(f3):
     real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert chain.try_c4(f3.forbidden, real.edges, (0, 1), (f3.w(0), f3.w(1))) is None
+    assert chain.try_c4(f3.forbidden_partners, real.edges, (0, 1), (f3.w(0), f3.w(1))) is None
 
 
 def test_find_c4_unrestricted(open2x2):
     real = core.make_realization(open2x2, [(0, 0), (1, 1)])
-    toggle = chain.try_c4(open2x2.forbidden, real.edges, (0, 1), (2, 3))
+    toggle = chain.try_c4(open2x2.forbidden_partners, real.edges, (0, 1), (2, 3))
     assert toggle is not None and len(toggle) // 2 - 1 == 1
     after = core.realization_from_global_edges(open2x2, real.edges.symmetric_difference(toggle))
     assert after.to_pairs() == [[0, 1], [1, 0]]
@@ -136,14 +136,14 @@ def test_find_c4_unrestricted(open2x2):
 
 def test_find_c6_fswap_f2(f2, f2_reals):
     ra, rb = f2_reals
-    toggle = chain.try_c6(f2.forbidden, ra.edges, (0, 1, 2), (f2.w(0), f2.w(1), f2.w(2)))
+    toggle = chain.try_c6(f2.forbidden_partners, ra.edges, (0, 1, 2), (f2.w(0), f2.w(1), f2.w(2)))
     assert toggle is not None
     assert ra.edges.symmetric_difference(toggle) == rb.edges
 
 
 def test_find_c6_fswap_needs_perfect_forbidden_matching(f3):
     real = core.make_realization(f3, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    got = chain.try_c6(f3.forbidden, real.edges, (0, 1, 2), (f3.w(0), f3.w(1), f3.w(3)))
+    got = chain.try_c6(f3.forbidden_partners, real.edges, (0, 1, 2), (f3.w(0), f3.w(1), f3.w(3)))
     assert got is None
 
 
@@ -152,7 +152,7 @@ def test_find_c6_fswap_needs_alternation():
     real = core.make_realization(inst, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
     # hexagon chords are all edges: no alternation
     wtriple = (inst.w(0), inst.w(1), inst.w(2))
-    assert chain.try_c6(inst.forbidden, real.edges, (0, 1, 2), wtriple) is None
+    assert chain.try_c6(inst.forbidden_partners, real.edges, (0, 1, 2), wtriple) is None
 
 
 def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
@@ -163,7 +163,7 @@ def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
         for real in enumerate_all(inst):
             for upair in combinations(range(inst.n_u), 2):
                 for wpair in combinations(range(inst.n_u, inst.n_vertices), 2):
-                    toggle = chain.try_c4(inst.forbidden, real.edges, upair, wpair)
+                    toggle = chain.try_c4(inst.forbidden_partners, real.edges, upair, wpair)
                     pairs = [(u, w) for u in upair for w in wpair]
                     legal = all(inst.is_chord(*p) for p in pairs) and sorted(
                         p in real.edges for p in pairs
@@ -176,7 +176,7 @@ def test_move_finders_against_pattern_bruteforce(f2, f3, roadmap_4x4):
                         assert set(toggle) == set(pairs)
             for utr in combinations(range(inst.n_u), 3):
                 for wtr in combinations(range(inst.n_u, inst.n_vertices), 3):
-                    toggle = chain.try_c6(inst.forbidden, real.edges, utr, wtr)
+                    toggle = chain.try_c6(inst.forbidden_partners, real.edges, utr, wtr)
                     pairs = [(u, w) for u in utr for w in wtr]
                     forbidden = [p for p in pairs if not inst.is_chord(*p)]
                     hexagon = [p for p in pairs if inst.is_chord(*p)]
