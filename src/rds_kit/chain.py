@@ -7,26 +7,53 @@ every legal move at a state.  The canonical-path sweep and the audit's
 neighbour search in :mod:`rds_kit.paths` and the chain-move graph of
 :mod:`rds_kit.oracle` are all built on them.
 
-Each proposal is lazy with probability 1/2, with probability 1/4 draws an
-unordered U-pair and W-pair and applies the 4-cycle swap if legal, and with
-probability 1/4 draws unordered triples and applies the forbidden-matching
-6-cycle swap if legal.  Failed proposals are self-loops, so the kernel is
-symmetric with diagonal at least 1/2 and the uniform distribution is
-stationary.
+Each step of the paper's chain is lazy with probability 1/2, with
+probability 1/4 draws an unordered U-pair and W-pair and applies the 4-cycle
+swap if legal, and with probability 1/4 draws unordered triples and applies
+the forbidden-matching 6-cycle swap if legal.  Failed proposals are
+self-loops, so the kernel is symmetric with diagonal at least 1/2 and the
+uniform distribution is stationary.  Every legal move of one kind has the
+same probability per step, :func:`_move_probability`.
 
-:func:`run_chain` walks any number of independent chains in one pass, all
-driven by one generator.  The walker holds each state as flat 0/1 cells in
-the ``(n_w, n_u)`` layout of :attr:`Realization.matrix`, so (u, j) is cell
-``j * n_u + u``, and the chains' states lie back to back in one buffer.  A
-block holds the draws of a run of steps of every chain.  numpy lists the
-cells of each drawn move, three even cells then three odd ones, offset to
-its chain's state, and drops the draws that are never legal: a 4-cycle on a
-forbidden cell, a 6-cycle whose forbidden 3x3 block is not a permutation.
-One Python loop then applies the block's moves in step order.  A listed move
-is legal iff its even cells agree, its odd cells agree and the two values
-differ, which is what :func:`try_c4`/:func:`try_c6` decide.  With one chain
-the blocks and the draws are those of the single-chain walker, so a
-single-chain trajectory depends only on the seed and the step count.
+:func:`run_chain` simulates this chain on edges, exactly in law, and skips
+the steps that cannot move: edge-based switch proposals (Cooper, Dyer and
+Greenhill 2007) and rejection-free kinetic Monte Carlo (Bortz, Kalos and
+Lebowitz 1975).  A chain tries a move at a step with probability
+theta = theta4 + theta6 and stays otherwise, so the steps of its tries are
+drawn as geometric gaps and the lazy steps cost nothing (:func:`try_rates`):
+
+* a 4-cycle try, at rate theta4 = C(E,2) / (4 C(n_u,2) C(n_w,2)) for E
+  edges, takes two uniform distinct edges (u1, j1) and (u2, j2) and swaps
+  them for (u2, j1) and (u1, j2) when both are free chords, which also
+  rejects a shared endpoint.  A legal 4-cycle move is tried by one of the
+  C(E,2) edge pairs;
+* a 6-cycle try, at rate theta6 = kappa / (4 C(n_w,3)), takes a uniform
+  U-triple and a uniform index below kappa, the most W-triples one U-triple
+  has whose forbidden 3x3 block is a permutation.  The index picks one of
+  this U-triple's such W-triples, or is a lazy step past their number, and
+  the hexagon rule decides the move.
+
+So each legal move keeps its probability :func:`_move_probability` per
+step, and ``steps`` always counts steps of the paper's chain.
+
+theta4 + theta6 <= 1 whenever some state has a legal move.  With two
+vertices in one class there is no 6-cycle, and a legal 4-cycle needs two
+vertices of degree 1 among the m of the other class, so E <= 2m - 2 and
+theta4 <= (2m - 3) / (2m).  With a, b >= 3 vertices per class,
+theta4 <= C(ab,2) / (a(a-1)b(b-1)) <= 1 as (a-2)(b-2) >= 1.  kappa >= 1
+needs three forbidden pairs, and then E <= ab - 3 gives theta4 <= 3/4, since
+3a(a-1)b(b-1) - 2(ab-3)(ab-4) = ab((a-3)(b-3) + 8) - 24 > 0, while
+kappa <= C(n_w,3) gives theta6 <= 1/4.  Where theta exceeds 1 no state has a
+legal move, and the chain stays.
+
+The walker keeps one int per cell of each chain, in the ``(n_w, n_u)``
+layout of :attr:`Realization.matrix`, so (u, j) is cell ``j * n_u + u``: the
+slot of its edge, -1 for a free chord, -2 for a forbidden pair.  Slot s
+holds the cell of the chain's s-th edge.  The chains lie back to back in
+both, so slots and cells carry their chain's offset.  numpy draws the tries
+of all chains in blocks, step t of chain k at flat position t * K + k, and
+one Python loop applies them in that order.  A trajectory depends only on
+the seed, the step count and the chain count.
 """
 
 from __future__ import annotations
@@ -34,7 +61,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -44,13 +71,11 @@ from .errors import (
     InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, ValidationError,
 )
 
-# move kinds are drawn uniformly from 0..3; kinds 0 and 1 are lazy
-_C4, _C6 = 2, 3
-_CHUNK = 4096
+_BLOCK = 4096  # the most tries drawn per numpy block
 
 
 def default_burn_in(inst: ProblemInstance) -> int:
-    """Heuristic proposal count: 20 (|U|+|W|)^2; mixing is proven polynomial
+    """Heuristic step count: 20 (|U|+|W|)^2; mixing is proven polynomial
     for half-regular instances but without a usable exponent."""
     return 20 * (inst.n_u + inst.n_w) ** 2
 
@@ -142,92 +167,162 @@ def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair,
                     yield kind, toggle
 
 
-def _draw_block(inst: ProblemInstance, rng: np.random.Generator, steps: int, chains: int):
-    """Draws of one block of `steps` proposals of each of `chains` chains.
+def _c6_fanout(inst: ProblemInstance) -> int:
+    """kappa: the most W-triples one U-triple has whose forbidden 3x3 block is a permutation.
 
-    The move kinds come as a ``(steps, chains)`` array, then the U- and
-    W-pairs of its 4-cycle draws and the triples of its 6-cycle draws, in the
-    flattened order of the kinds, step ``t`` of chain ``k`` at ``t * chains + k``.
-    With one chain this is the order of the single-chain walker, so its
-    trajectories do not depend on how many chains a call runs.  Returns the
-    flat steps of the 4-cycle draws with their pairs, then the same for the
-    6-cycle draws and their triples.
+    Off the star center a U-vertex's one forbidden partner is its matching
+    partner, so a U-triple without the center has one such W-triple when all
+    three are matched, and none otherwise.  A U-triple (s, y, z) with the
+    center s has one for each forbidden partner of s when y and z are matched
+    to W-vertices that are not partners of s, and none otherwise.
     """
-    kinds = rng.integers(0, 4, (steps, chains)).ravel()
-    at4 = np.flatnonzero(kinds == _C4)
-    at6 = np.flatnonzero(kinds == _C6) if inst.n_u >= 3 and inst.n_w >= 3 else at4[:0]
-    n4, n6 = len(at4), len(at6)
-    u4, w4 = _distinct_draws(rng, inst.n_u, n4, 2), _distinct_draws(rng, inst.n_w, n4, 2)
-    u6, w6 = _distinct_draws(rng, inst.n_u, n6, 3), _distinct_draws(rng, inst.n_w, n6, 3)
-    return at4, u4, w4, at6, u6, w6
+    partners = inst.forbidden_partners
+    s = inst.star_center
+    matched = [u for u in range(inst.n_u) if u != s and partners[u]]
+    kappa = int(len(matched) >= 3)
+    if s is not None and sum(not partners[u] & partners[s] for u in matched) >= 2:
+        kappa = max(kappa, len(partners[s]))
+    return kappa
 
 
-def _block_rows(
-    inst: ProblemInstance, chains: int, at4, u4, w4, at6, u6, w6
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of a block's moves that can ever be legal, in step order, and their flat steps.
+def try_rates(inst: ProblemInstance) -> tuple[Fraction, Fraction, int]:
+    """theta4 and theta6, the chances that a step tries a 4-cycle and a 6-cycle, and kappa."""
+    _require_chain_instance(inst)
+    n_u, n_w = inst.n_u, inst.n_w
+    theta4 = Fraction(comb(sum(inst.u_degrees), 2), 4 * comb(n_u, 2) * comb(n_w, 2))
+    kappa = _c6_fanout(inst)
+    theta6 = Fraction(kappa, 4 * comb(n_w, 3)) if kappa else Fraction(0)
+    return theta4, theta6, kappa
 
-    The arguments after `chains` are those :func:`_draw_block` returns;
-    pairs and triples hold class-local indices.  A row is three even cells,
-    then three odd cells; a 4-cycle repeats its second even and its second
-    odd cell.  Chain k's cells are offset by k times the cells of one state.
-    A 4-cycle on a forbidden cell and a 6-cycle whose forbidden 3x3 block is
-    not a permutation are dropped.
+
+def _hexagons(inst: ProblemInstance, utriple: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The hexagons a 6-cycle try on a sorted U-triple can pick, in index order.
+
+    One for each W-triple whose forbidden block with the U-triple is a
+    permutation s: the cells of x - s(y) - z - s(x) - y - s(z), three even
+    cells then three odd ones, in chain 0.
     """
-    n_u, mask = inst.n_u, inst.forbidden_mask.ravel()
-    # pairs (a, b) and (c, d): evens (a, c), (b, d), odds (a, d), (b, c)
-    cells4 = w4[:, [0, 1, 1, 1, 0, 0]] * n_u + u4[:, [0, 1, 1, 0, 1, 1]]
-    live4 = ~mask[cells4].any(axis=1)
-    # [m, i, k]: w6[m, i] is forbidden with u6[m, k]
-    block = mask[(w6 * n_u)[:, :, None] + u6[:, None, :]]
-    live6 = (block.sum(axis=1) == 1).all(axis=1) & (block.sum(axis=2) == 1).all(axis=1)
-    partner = (block[live6] * w6[live6, :, None]).sum(axis=1)  # [m, k]: partner of u6[m, k]
-    # triples (x, y, z) with partners s(.): the hexagon x - s(y) - z - s(x) - y - s(z)
-    cells6 = partner[:, [1, 0, 2, 1, 0, 2]] * n_u + u6[live6][:, [0, 2, 1, 2, 1, 0]]
-    steps = np.concatenate([at4[live4], at6[live6]])
-    order = np.argsort(steps)
-    steps = steps[order]
-    offset = steps % chains * mask.size
-    return np.concatenate([cells4[live4], cells6])[order] + offset[:, None], steps
+    partners, n_u = inst.forbidden_partners, inst.n_u
+    x, y, z = utriple
+    out = []
+    for ws in product(*(sorted(partners[u]) for u in utriple)):
+        block = set(ws)
+        if len(block) == 3 and all(len(partners[u] & block) == 1 for u in utriple):
+            sx, sy, sz = (w - n_u for w in ws)
+            out.append((sy * n_u + x, sx * n_u + z, sz * n_u + y,
+                        sy * n_u + z, sx * n_u + y, sz * n_u + x))
+    return out
 
 
-def _walk(cells: bytearray, rows: np.ndarray) -> list[int]:
-    """Apply rows in order; a legal move flips every cell.  The indices of the applied rows."""
-    applied = []
-    for i, a, b, c, d, e, f in zip(count(), *rows.T.tolist()):
-        x = cells[a]
-        if x == cells[b] == cells[c] and x != cells[d] == cells[e] == cells[f]:
-            cells[a] = cells[b] = cells[c] = 1 - x
-            cells[d] = cells[e] = cells[f] = x
-            applied.append(i)
-    return applied
+def _state(inst: ProblemInstance, start: Realization, chains: int) -> tuple[list[int], list[int]]:
+    """Cells and edge slots of `chains` copies of `start`, back to back."""
+    size = inst.n_u * inst.n_w
+    edges = np.flatnonzero(start.matrix)
+    cells = np.where(inst.forbidden_mask.ravel(), -2, -1)
+    cells[edges] = np.arange(len(edges))
+    offset = np.arange(chains)[:, None]
+    cells = np.tile(cells, (chains, 1))
+    cells += (cells >= 0) * (offset * len(edges))
+    return cells.ravel().tolist(), (edges + offset * size).ravel().tolist()
+
+
+def _walk(cells: list[int], slots: list[int], n_u: int, tries, hexagons, probe=-1) -> list[int]:
+    """Apply tries in order; the steps of the applied moves that flip cell `probe`.
+
+    A try is (step, e1, e2): a 4-cycle try on edge slots e1 and e2, or with
+    e2 = -1 a 6-cycle try on ``hexagons[e1]``, six cells, three even then
+    three odd.  Slots and cells are offset to the try's chain.
+    """
+    flips = []
+    for t, e1, e2 in tries:
+        if e2 >= 0:
+            c1, c2 = slots[e1], slots[e2]
+            u1, u2 = c1 % n_u, c2 % n_u
+            a, b = c1 - u1 + u2, c2 - u2 + u1
+            if cells[a] == -1 == cells[b]:
+                cells[c1] = cells[c2] = -1
+                cells[a], cells[b] = e1, e2
+                slots[e1], slots[e2] = a, b
+                if probe in (a, b, c1, c2):
+                    flips.append(t)
+            continue
+        hexagon = hexagons[e1]
+        p, q, r, x, y, z = hexagon
+        if cells[p] < 0:  # then the odd cells must hold the edges
+            p, q, r, x, y, z = x, y, z, p, q, r
+        ep, eq, er = cells[p], cells[q], cells[r]
+        if ep >= 0 and eq >= 0 and er >= 0 and cells[x] == cells[y] == cells[z] == -1:
+            cells[p] = cells[q] = cells[r] = -1
+            cells[x], cells[y], cells[z] = ep, eq, er
+            slots[ep], slots[eq], slots[er] = x, y, z
+            if probe in hexagon:
+                flips.append(t)
+    return flips
 
 
 def _advance(
-    inst: ProblemInstance, cells: bytearray, steps: int, rng: np.random.Generator,
-    probe: int = -1, every: int = 0,
-) -> list[int]:
-    """Run `steps` proposals of every chain in place on the cells, the chains
-    back to back; with `every` (one chain only), read cell `probe` after
-    every `every`-th step.
+    inst: ProblemInstance, cells: list[int], slots: list[int], steps: int,
+    rng: np.random.Generator, probe: int = -1, reads=(),
+) -> tuple[int, list[int]]:
+    """Run `steps` steps of every chain in place; the number of moves tried and
+    (one chain only) cell `probe` after each step in the ascending `reads`.
 
-    A block holds ``max(1, _CHUNK // chains)`` steps of all chains, so a
-    trajectory is reproducible for a given seed, step count and chain count.
+    The tries come in blocks of at most ``_BLOCK``, sized to the tries
+    expected in the steps left: their geometric gaps, their kinds, the edge
+    slots of the 4-cycle tries, then the U-triples and indices of the
+    6-cycle tries.  A 6-cycle try whose index is past its U-triple's
+    hexagons is lazy and dropped before the walk.
     """
-    chains = len(cells) // inst.forbidden_mask.size
-    span = max(1, _CHUNK // chains)
-    seen: list[int] = []
-    for done in range(0, steps, span):
-        block = min(span, steps - done)
-        rows, at = _block_rows(inst, chains, *_draw_block(inst, rng, block, chains))
-        before = cells[probe] if every else 0
-        applied = _walk(cells, rows)
-        if every:
-            # the probe cell flips exactly at the applied moves that contain it
-            flips = at[applied][(rows[applied] == probe).any(axis=1)]
-            probes = np.arange((every - 1 - done) % every, block, every)
-            seen += ((np.searchsorted(flips, probes, side="right") % 2) ^ before).tolist()
-    return seen
+    n_u, size = inst.n_u, inst.n_u * inst.n_w
+    chains = len(cells) // size
+    edges = len(slots) // chains
+    theta4, theta6, kappa = try_rates(inst)
+    theta = float(theta4 + theta6)
+    table: dict[int, list] = {}  # U-triple key -> its hexagons, padded to kappa
+    before = int(cells[probe] >= 0) if len(reads) else 0
+    total, last, tries, flips = steps * chains, -1, 0, []
+    while 0 < theta <= 1 and last < total - 1:
+        block = min(_BLOCK, 16 + int(1.1 * theta * (total - 1 - last)))
+        at = last + np.cumsum(rng.geometric(theta, block))
+        last = int(at[-1])
+        at = at[at < total]
+        is4 = rng.random(len(at)) < float(theta4) / theta
+        k = at % chains
+        pairs = _distinct_draws(rng, edges, int(is4.sum()), 2) + (k[is4] * edges)[:, None]
+        utriples = np.sort(_distinct_draws(rng, n_u, len(at) - len(pairs), 3), axis=1)
+        index = rng.integers(0, kappa, len(utriples))
+        keys, first, inverse = np.unique(
+            (utriples[:, 0] * n_u + utriples[:, 1]) * n_u + utriples[:, 2],
+            return_index=True, return_inverse=True,
+        )
+        for key, utriple in zip(keys.tolist(), utriples[first].tolist()):
+            if key not in table:
+                found = _hexagons(inst, tuple(utriple))
+                table[key] = found + [(-1,) * 6] * (kappa - len(found))
+        # the hexagon each 6-cycle try picks; -1s where its index is past them, a lazy step
+        picked = np.array([table[key] for key in keys.tolist()], dtype=np.int64)
+        picked = picked.reshape(len(keys), kappa, 6)[inverse, index]
+        live6 = picked[:, 0] >= 0
+        hexagons = picked[live6] + (k[~is4][live6] * size)[:, None]
+        # a try is (step, e1, e2), or (step, hexagon row, -1)
+        rows = np.empty((len(at), 3), dtype=np.int64)
+        rows[:, 0] = at // chains
+        rows[is4, 1:] = pairs
+        rows[~is4, 1] = np.cumsum(live6) - 1
+        rows[~is4, 2] = -1
+        live = is4.copy()
+        live[~is4] = live6
+        flips += _walk(cells, slots, n_u, zip(*rows[live].T.tolist()), hexagons.tolist(), probe)
+        tries += len(at)
+    # the probe cell flips exactly at the applied moves that contain it
+    return tries, ((np.searchsorted(flips, reads, side="right") % 2) ^ before).tolist()
+
+
+def _from_slots(inst: ProblemInstance, slots: list[int], chains: int) -> list[Realization]:
+    """The realizations of the walker's chains: an edge at the cell of each slot."""
+    cells = np.zeros(chains * inst.n_u * inst.n_w, dtype=np.int8)
+    cells[slots] = 1
+    return _from_cells(inst, cells.tobytes())
 
 
 def _from_cells(inst: ProblemInstance, cells: bytearray) -> list[Realization]:
@@ -257,10 +352,11 @@ def _from_cells(inst: ProblemInstance, cells: bytearray) -> list[Realization]:
     return [Realization(inst, frozenset(pairs[k * per:(k + 1) * per])) for k in range(len(states))]
 
 
-def run_chain(
+def walk_chains(
     inst: ProblemInstance, start: Realization, steps: int, seed: int, chains: int = 1
-) -> list[Realization]:
-    """End states of `chains` chains of `steps` proposals each from `start`.
+) -> tuple[list[Realization], int]:
+    """End states of `chains` chains of `steps` steps each from `start`, and
+    the number of moves they tried.
 
     One ``Philox(seed)`` generator drives all of them, so the result is
     deterministic given the seed, the step count and the chain count.
@@ -271,9 +367,17 @@ def run_chain(
     if chains < 1:
         raise PreconditionViolated("run_chain needs at least one chain")
     rng = np.random.Generator(np.random.Philox(seed))
-    cells = bytearray(start.matrix.tobytes() * chains)
-    _advance(inst, cells, steps, rng)
-    return _from_cells(inst, cells)
+    cells, slots = _state(inst, start, chains)
+    tries, _ = _advance(inst, cells, slots, steps, rng)
+    return _from_slots(inst, slots, chains), tries
+
+
+def run_chain(
+    inst: ProblemInstance, start: Realization, steps: int, seed: int, chains: int = 1
+) -> list[Realization]:
+    """End states of `chains` chains of `steps` steps each from `start`;
+    see :func:`walk_chains`."""
+    return walk_chains(inst, start, steps, seed, chains)[0]
 
 
 def classify_move(G: Realization, H: Realization) -> str | None:
@@ -292,7 +396,7 @@ def classify_move(G: Realization, H: Realization) -> str | None:
 
 
 def _move_probability(inst: ProblemInstance, kind: str) -> Fraction:
-    """Probability that one proposal makes a given legal move of this kind."""
+    """Probability that one step of the paper's chain makes a given legal move of this kind."""
     r = 2 if kind == "c4" else 3
     return Fraction(1, 4) / (comb(inst.n_u, r) * comb(inst.n_w, r))
 
@@ -402,8 +506,9 @@ def sample_edge_frequency(
 ) -> tuple[int, Realization]:
     """Count of thinned post-burn-in states containing `pair`."""
     _require_chain_instance(inst)
-    cells = bytearray(start.matrix.tobytes())
-    _advance(inst, cells, burn_in, rng)
+    cells, slots = _state(inst, start, 1)
     u, w = pair
-    recorded = _advance(inst, cells, n_samples * thin, rng, (w - inst.n_u) * inst.n_u + u, thin)
-    return sum(recorded), _from_cells(inst, cells)[0]
+    steps = burn_in + n_samples * thin
+    reads = np.arange(burn_in + thin - 1, steps, thin)
+    _, recorded = _advance(inst, cells, slots, steps, rng, (w - inst.n_u) * inst.n_u + u, reads)
+    return sum(recorded), _from_slots(inst, slots, 1)[0]

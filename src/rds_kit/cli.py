@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import counting, oracle, paths
-from .chain import default_burn_in, exact_kernel, run_chain
+from .chain import default_burn_in, exact_kernel, run_chain, walk_chains
 from .construct import greedy_construct
 from .core import (
     ProblemInstance,
@@ -51,8 +51,73 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_STR = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value) -> str:
+    """JSON text of a scalar as :func:`json.dumps` writes it, else TypeError."""
+    if isinstance(value, str):
+        return _STR(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(value, pad: str, out: list[str]) -> None:
+    """Append the text of `value` at indent `pad`, a newline and spaces, to `out`."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, v in sorted(value.items()):
+            out.append(sep + _scalar(key if isinstance(key, str) else _scalar(key)) + ": ")
+            sep = "," + inner
+            _encode(v, inner, out)
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            sep = "," + inner
+            # an edge [u, w], the bulk of every report, in one step
+            if type(v) is list and len(v) == 2 and type(v[0]) is int is type(v[1]):
+                out.append(pair % (v[0], v[1]))
+            else:
+                _encode(v, inner, out)
+        out.append(pad + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    The standard library drops to its pure-Python encoder whenever an indent
+    is set; this one skips its generators and writes each edge pair at once.
+    """
+    out: list[str] = []
+    _encode(value, "\n", out)
+    return "".join(out)
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _read_json(path: str):
@@ -239,11 +304,13 @@ def _cmd_bench(args) -> tuple[int, dict]:
     if start is None:
         return EXIT_NEGATIVE, {"graphical": False}
     t0 = time.perf_counter()
-    run_chain(inst, start, args.steps, args.seed)
+    _, tries = walk_chains(inst, start, args.steps, args.seed)
     chain_secs = time.perf_counter() - t0
     payload = {
         "proposals": args.steps,
         "proposals_per_second": round(args.steps / chain_secs, 1),
+        "tries": tries,
+        "tries_per_second": round(tries / chain_secs, 1),
     }
     try:
         t0 = time.perf_counter()

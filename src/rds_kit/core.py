@@ -333,12 +333,6 @@ def _check_common(inst: ProblemInstance) -> ProblemInstance:
         seen.add(a)
         seen.add(b)
 
-    # degree never exceeds the capacity of the opposite side
-    for v in range(n):
-        cap = (inst.n_w if v < inst.n_u else inst.n_u) if inst.is_bipartite_like else n - 1
-        if inst.degree(v) > cap:
-            raise DegreeExceedsChords(f"vertex {v} demands {inst.degree(v)} of {cap} possible edges")
-
     # a star+matching union is bipartite unless a matching pair joins two leaves
     if not inst.is_bipartite_like and inst.star_center is not None:
         for a, b in inst.matching:
@@ -346,6 +340,13 @@ def _check_common(inst: ProblemInstance) -> ProblemInstance:
                 raise ForbiddenSetNotBipartite(
                     f"matching pair {(a, b)} closes a triangle through the star center"
                 )
+
+    # degree never exceeds the vertex's chord count
+    for v in range(n):
+        others = (inst.n_w if v < inst.n_u else inst.n_u) if inst.is_bipartite_like else n - 1
+        cap = others - len(inst.forbidden_partners[v])
+        if inst.degree(v) > cap:
+            raise DegreeExceedsChords(f"vertex {v} demands {inst.degree(v)} of {cap} possible edges")
     return inst
 
 

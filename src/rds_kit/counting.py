@@ -8,10 +8,11 @@ star+matching class and the present branch preserves half-regularity.
 
 Children are built directly in global ids and are not validated again: a
 star, a matching and degrees that only fall keep every structural
-condition of a valid parent.  Only capacity can fail, when a retirement
-leaves a W-vertex more demand than there are U-vertices; such a branch has
-no realization, and its recursion ends in :class:`Exhausted` with a
-positive degree left, which counts 0.
+condition of a valid parent.  Only capacity can fail, when a child leaves a
+vertex more demand than it has chords (the absent branch forbids a chord, a
+retirement deletes a U-vertex); such a branch has no realization, and its
+recursion ends in :class:`Exhausted` with a positive degree left, which
+counts 0.
 
 The approximate counter estimates each branch probability from chain
 samples and multiplies the majority-branch reciprocals.

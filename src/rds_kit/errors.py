@@ -18,7 +18,7 @@ class DegreeSumMismatch(ValidationError):
 
 
 class DegreeExceedsChords(ValidationError):
-    """A vertex demands more edges than the opposite class can hold."""
+    """A vertex demands more edges than it has chords."""
 
 
 class StarCenterOutOfRange(ValidationError):

@@ -10,6 +10,7 @@ import json
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from rds_kit import core
@@ -43,8 +44,9 @@ def f4():
 
 @pytest.fixture
 def f5():
-    """2x2 instance that validates fine but has no realization."""
-    return core.bipartite_instance([2, 1], [1, 2], matching=[(0, 0), (1, 1)])
+    """3x3 instance that validates fine but has no realization: w0 needs both
+    u1 and u2, and u2 has degree 0."""
+    return core.bipartite_instance([2, 2, 0], [2, 1, 1], matching=[(0, 0), (1, 1), (2, 2)])
 
 
 @pytest.fixture
@@ -136,6 +138,10 @@ def star_matching_instances(draw):
     w_perm = draw(st.permutations(range(n_w)))
     size = draw(st.integers(0, min(n_u, n_w)))
     matching = [(i, w_perm[i]) for i in range(size)]
+    # no vertex may demand more edges than it has chords
+    forbidden = set(matching) | {(center, j) for j in leaves}
+    assume(all(d <= sum((i, j) not in forbidden for j in range(n_w)) for i, d in enumerate(u_deg)))
+    assume(all(d <= sum((i, j) not in forbidden for i in range(n_u)) for j, d in enumerate(w_deg)))
     return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)
 
 

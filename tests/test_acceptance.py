@@ -82,7 +82,7 @@ def fixture_instances():
     yield core.bipartite_instance(
         [1, 2, 2], [2, 2, 1], star_center=0, star_leaves=[0], matching=[(1, 1), (2, 2)]
     )
-    yield core.bipartite_instance([2, 1], [1, 2], matching=[(0, 0), (1, 1)])
+    yield core.bipartite_instance([2, 2, 0], [2, 1, 1], matching=[(0, 0), (1, 1), (2, 2)])
 
 
 def _f2():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rds_kit import chain, construct, core
+from rds_kit.core import Realization
 from rds_kit.errors import (
     InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, TooManyStates, ValidationError,
 )
@@ -225,38 +226,72 @@ def test_legal_moves_and_kernel_match_pairwise_with_c6_moves(f2, f3, roadmap_4x4
         _assert_moves_and_kernel_match_pairwise(inst)
 
 
-def _assert_cell_rule_matches_try_moves(inst):
-    """Each ordered draw's row, run alone through the walker, moves as try_c4/try_c6 say.
+def _one_try(inst, state, try_, hexagons=()):
+    """The edges after one try of the edge walker on `state`; its cells and slots must still agree."""
+    cells, slots = chain._state(inst, state, 1)
+    chain._walk(cells, slots, inst.n_u, [try_], list(hexagons))
+    assert all(cells[c] == s for s, c in enumerate(slots))
+    assert sum(v >= 0 for v in cells) == len(slots)
+    [after] = chain._from_slots(inst, slots, 1)
+    return after.edges
 
-    The rows of all draws of one kind are built as one block of one chain; a
-    draw the builder drops must be illegal at every state.
+
+def _permutation_blocks(inst, utriple):
+    """Every W-triple (global ids) whose forbidden block with `utriple` is a permutation."""
+    partners = inst.forbidden_partners
+    return {
+        wtriple
+        for wtriple in combinations(range(inst.n_u, inst.n_vertices), 3)
+        if all(len(partners[u] & set(wtriple)) == 1 for u in utriple)
+        and all(len(partners[w] & set(utriple)) == 1 for w in wtriple)
+    }
+
+
+def _assert_tries_match_moves(inst):
+    """Every try of the edge walker at every state moves as try_c4/try_c6 say,
+    and the one-step law it gives each legal move is exactly _move_probability.
+
+    The 4-cycle tries are all ordered pairs of edge slots, the 6-cycle tries
+    all sorted U-triples with every index below kappa.
     """
-    states = enumerate_all(inst)
-    n_u = inst.n_u
-    for r, try_move in ((2, chain.try_c4), (3, chain.try_c6)):
-        us = list(permutations(range(n_u), r))
-        ws = list(permutations(range(inst.n_w), r))
-        draws = [(u, w) for u in us for w in ws]
-        u_arr = np.array([u for u, _ in draws]).reshape(-1, r)
-        w_arr = np.array([w for _, w in draws]).reshape(-1, r)
-        at = np.arange(len(draws))
-        none = (at[:0], np.zeros((0, 5 - r), dtype=np.int64), np.zeros((0, 5 - r), dtype=np.int64))
-        arrays = (at, u_arr, w_arr, *none) if r == 2 else (*none, at, u_arr, w_arr)
-        rows, steps = chain._block_rows(inst, 1, *arrays)
-        row_of = dict(zip(steps.tolist(), rows[:, None]))
-        for state in states:
-            start = bytearray(state.matrix.tobytes())
-            for i, (utuple, wtuple) in enumerate(draws):
-                wglobal = tuple(w + n_u for w in wtuple)
-                toggle = try_move(inst.forbidden_partners, state.edges, utuple, wglobal)
-                cells = bytearray(start)
-                applied = chain._walk(cells, row_of[i]) if i in row_of else []
-                if toggle is None:
-                    assert applied == [] and cells == start, (state.key, utuple, wtuple)
-                else:
-                    assert applied == [0]
-                    [after] = chain._from_cells(inst, cells)
-                    assert after.edges == state.edges.symmetric_difference(toggle), (utuple, wtuple)
+    theta4, theta6, kappa = chain.try_rates(inst)
+    n_u, partners = inst.n_u, inst.forbidden_partners
+    utriples = list(combinations(range(n_u), 3))
+    hexagons = {t: chain._hexagons(inst, t) for t in utriples}
+    for t in utriples:
+        picked = {tuple(sorted({c // n_u + n_u for c in h})) for h in hexagons[t]}
+        assert len(picked) == len(hexagons[t]) and picked == _permutation_blocks(inst, t)
+    assert kappa == max((len(h) for h in hexagons.values()), default=0)
+    for state in enumerate_all(inst):
+        edges = state.edges
+        n_edges = len(edges)
+        law = {}
+        cells, slots = chain._state(inst, state, 1)
+        for e1, e2 in permutations(range(n_edges), 2):
+            (u1, w1), (u2, w2) = [(c % n_u, c // n_u + n_u) for c in (slots[e1], slots[e2])]
+            toggle = None
+            if u1 != u2 and w1 != w2:
+                toggle = chain.try_c4(partners, edges, (u1, u2), (w1, w2))
+            after = _one_try(inst, state, (0, e1, e2))
+            assert after == (edges if toggle is None else edges.symmetric_difference(toggle))
+            if toggle is not None:
+                law[after] = law.get(after, 0) + theta4 / (n_edges * (n_edges - 1))
+        for utriple in utriples:
+            for i in range(kappa):
+                if i >= len(hexagons[utriple]):
+                    continue  # a lazy step: the walker drops it unwalked
+                hexagon = hexagons[utriple][i]
+                wtriple = tuple(sorted({c // n_u + n_u for c in hexagon}))
+                toggle = chain.try_c6(partners, edges, utriple, wtriple)
+                after = _one_try(inst, state, (0, 0, -1), [hexagon])
+                assert after == (edges if toggle is None else edges.symmetric_difference(toggle))
+                if toggle is not None:
+                    law[after] = law.get(after, 0) + theta6 / (len(utriples) * kappa)
+        expected = {
+            edges.symmetric_difference(toggle): chain._move_probability(inst, kind)
+            for kind, toggle in chain.legal_moves(inst, edges)
+        }
+        assert law == expected, state.key
 
 
 # 4 states; u0 has two forbidden partners and w0 two, so a 3x3 block can have
@@ -264,43 +299,132 @@ def _assert_cell_rule_matches_try_moves(inst):
 TWO_LEAF_STAR = core.bipartite_instance(
     [2] * 4, [2] * 4, star_center=0, star_leaves=[0, 1], matching=[(2, 0), (3, 3)]
 )
+# 189 states, 216 c6 moves; kappa = 2, as each U-triple with u0 has a W-triple for either leaf
+WIDE_STAR = core.bipartite_instance(
+    [2] * 5, [2] * 5, star_center=0, star_leaves=[0, 1], matching=[(1, 2), (2, 3), (3, 4)]
+)
 
 
 def test_cell_rule_matches_try_moves(f2, f3, roadmap_4x4):
-    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED, TWO_LEAF_STAR):
-        _assert_cell_rule_matches_try_moves(inst)
+    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED, TWO_LEAF_STAR, WIDE_STAR):
+        _assert_tries_match_moves(inst)
+    assert chain.try_rates(WIDE_STAR)[2] == 2 and chain.try_rates(TWO_LEAF_STAR)[2] == 0
 
 
 @settings(max_examples=30, deadline=None)
 @given(half_regular_instances())
 def test_cell_rule_matches_try_moves_half_regular_property(inst):
-    _assert_cell_rule_matches_try_moves(inst)
+    _assert_tries_match_moves(inst)
+
+
+def _assert_try_rates_at_most_one(inst):
+    theta4, theta6, _ = chain.try_rates(inst)
+    states = enumerate_all(inst)
+    if theta4 + theta6 > 1:  # then the walker stays put, which is exact only without moves
+        assert not any(next(chain.legal_moves(inst, s.edges), None) for s in states)
+    if len(states) >= 2:
+        assert theta4 + theta6 <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_matching_instances())
+def test_try_rates_at_most_one_property(inst):
+    _assert_try_rates_at_most_one(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_regular_instances())
+def test_try_rates_at_most_one_half_regular_property(inst):
+    _assert_try_rates_at_most_one(inst)
+
+
+@pytest.mark.parametrize("u, w", [([2, 2], [2, 2]), ([3, 3], [2, 2, 2])])
+def test_walker_stays_where_rates_exceed_one(u, w):
+    """Complete 2x2 and 2x3 graphs: theta4 > 1, one state, and no step is tried."""
+    inst = core.bipartite_instance(u, w)
+    theta4, theta6, _ = chain.try_rates(inst)
+    assert theta4 > 1 and theta6 == 0 and len(enumerate_all(inst)) == 1
+    start = construct.greedy_construct(inst)
+    assert chain.walk_chains(inst, start, 1000, seed=0, chains=3) == ([start] * 3, 0)
+
+
+def _chi_square_against_kernel(inst, steps, chains, seed):
+    """p-value of the end states of `chains` walks of `steps` steps from the greedy
+    state against the exact row of P^steps; bins expecting fewer than 5 are pooled."""
+    report = chain.exact_kernel(inst)
+    start = construct.greedy_construct(inst)
+    row = np.linalg.matrix_power(report.dense(), steps)[report.states.index(start)]
+    index = {s.edges: i for i, s in enumerate(report.states)}
+    counts = np.zeros(len(row))
+    for end in chain.run_chain(inst, start, steps, seed, chains=chains):
+        counts[index[end.edges]] += 1
+    expected = row * chains
+    small = expected < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    return stats.chisquare(observed[keep], expected[keep] * observed.sum() / expected[keep].sum()).pvalue
+
+
+@pytest.mark.parametrize("name, steps, seed", [
+    ("MIXED", 5, 101), ("HALF_REGULAR_5X5", 30, 102), ("WIDE_STAR", 10, 103), ("WIDE_STAR", 60, 104),
+])
+def test_end_states_follow_exact_kernel_power(name, steps, seed):
+    """Criterion 7 in the small: T-step end states against the exact P^T row."""
+    inst = {"MIXED": MIXED, "HALF_REGULAR_5X5": HALF_REGULAR_5X5, "WIDE_STAR": WIDE_STAR}[name]
+    assert _chi_square_against_kernel(inst, steps, chains=20_000, seed=seed) >= 1e-4
 
 
 @settings(max_examples=40, deadline=None)
-@given(half_regular_instances(), st.integers(2, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
-def test_block_rows_keep_chains_apart_property(inst, chains, steps, seed):
-    """Chain k's rows index only its own cells, keep its step order, and are
-    the rows its own draws give as a block of one chain."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    at4, u4, w4, at6, u6, w6 = chain._draw_block(inst, rng, steps, chains)
-    rows, at = chain._block_rows(inst, chains, at4, u4, w4, at6, u6, w6)
-    size = inst.n_u * inst.n_w
-    owner = at % chains
-    assert (rows // size == owner[:, None]).all()
-    for k in range(chains):
-        assert (np.diff(at[owner == k]) > 0).all()
-        mine4, mine6 = at4 % chains == k, at6 % chains == k
-        alone, alone_at = chain._block_rows(
-            inst, 1, at4[mine4] // chains, u4[mine4], w4[mine4], at6[mine6] // chains, u6[mine6], w6[mine6]
-        )
-        assert (rows[owner == k] - k * size == alone).all()
-        assert (at[owner == k] // chains == alone_at).all()
+@given(half_regular_instances(), st.integers(2, 6), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_walk_keeps_chains_apart_property(inst, chains, steps, seed):
+    """Each chain's slots stay in its own cells, every slot's cell names it back,
+    and every chain ends in a realization."""
+    start = construct.greedy_construct(inst)
+    cells, slots = chain._state(inst, start, chains)
+    chain._advance(inst, cells, slots, steps, np.random.Generator(np.random.Philox(seed)))
+    size, per = inst.n_u * inst.n_w, len(slots) // chains
+    assert all(c // size == s // per for s, c in enumerate(slots))
+    assert all(cells[c] == s for s, c in enumerate(slots))
+    assert sum(v >= 0 for v in cells) == len(slots)
+    assert all(v == -2 for v, f in zip(cells, np.tile(inst.forbidden_mask.ravel(), chains)) if f)
+    assert len(chain._from_slots(inst, slots, chains)) == chains
+
+
+def test_probe_reads_the_walked_states(f3):
+    """Probing every cell of the same walk rebuilds a path of states, each one
+    legal move or none from the last; thinning keeps every thin-th read."""
+    start = construct.greedy_construct(f3)
+    size, steps = f3.n_u * f3.n_w, 600
+
+    def reads(probe, every):
+        cells, slots = chain._state(f3, start, 1)
+        rng = np.random.Generator(np.random.Philox(77))
+        at = np.arange(every - 1, steps, every)
+        tries, seen = chain._advance(f3, cells, slots, steps, rng, probe, at)
+        return tries, seen, slots
+
+    per_cell = [reads(c, 1)[1] for c in range(size)]
+    states = [
+        frozenset((c % f3.n_u, c // f3.n_u + f3.n_u) for c in range(size) if per_cell[c][t])
+        for t in range(steps)
+    ]
+    known = {s.edges for s in enumerate_all(f3)}
+    moves = 0
+    for before, after in zip([start.edges, *states], states):
+        assert after in known
+        if after != before:
+            assert chain.classify_move(Realization(f3, before), Realization(f3, after)) is not None
+            moves += 1
+    tries, _, slots = reads(0, 1)
+    assert 0 < moves <= tries
+    assert states[-1] == chain._from_slots(f3, slots, 1)[0].edges
+    assert reads(5, 3)[1] == per_cell[5][2::3]
 
 
 # SHA-256 of the end states of single chains (n = 5, 30 and 150, seeds 0-2),
-# as the one-chain walker wrote them before run_chain walked many chains at once.
-SINGLE_CHAIN_SHA256 = "c426e806be26fde34cc6b0a508d0fb8c944a4a36dcbb2c8736bd408240fddf07"
+# as the edge walker writes them.
+SINGLE_CHAIN_SHA256 = "93043c5323265038fe45af863cabc829c0a8c3715f600bf543029f53ff086d6b"
 
 
 def test_single_chain_end_states_match_pinned_digest():

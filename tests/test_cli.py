@@ -3,6 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rds_kit import cli, oracle, paths, swaps
 
@@ -34,9 +36,9 @@ def f5_path(tmp_path):
         json.dumps(
             {
                 "kind": "bipartite",
-                "u_degrees": [2, 1],
-                "w_degrees": [1, 2],
-                "matching": [[0, 0], [1, 1]],
+                "u_degrees": [2, 2, 0],
+                "w_degrees": [2, 1, 1],
+                "matching": [[0, 0], [1, 1], [2, 2]],
             }
         )
     )
@@ -225,7 +227,8 @@ def test_construct_matches_golden(capsys, tmp_path):
     """The half-regular ladder and a general instance whose degrees tie completely.
 
     The golden reports, concatenated in this order, predate ranking the
-    greedy's neighbours with plain sort keys.
+    greedy's neighbours with plain sort keys.  At n = 10, d = 10 the star
+    center has 9 chords, so that instance is refused with exit code 2.
     """
     instances = [_half_regular(n, d) for n in (10, 30, 100, 150) for d in (3, 10)]
     instances.append(
@@ -235,23 +238,22 @@ def test_construct_matches_golden(capsys, tmp_path):
     for i, inst in enumerate(instances):
         p = tmp_path / f"construct_{i}.json"
         p.write_text(json.dumps(inst))
-        assert cli.main(["construct", str(p)]) in (0, 1)
+        assert cli.main(["construct", str(p)]) == (2 if inst.get("u_degrees") == [10] * 10 else 0)
         reports.append(capsys.readouterr().out)
     golden = (DATA / "construct_reports.txt").read_text(encoding="utf-8")
     assert "".join(reports) == golden
 
 
-# SHA-256 of chain-driven reports.  The count-approx digest dates from the
-# set-based walker; the two sample digests from when `sample --samples K` became
-# one run of K chains driven by one generator.  A change that alters
-# trajectories on purpose must replace these digests and say so.
+# SHA-256 of chain-driven reports, as written since the chain runs on edges.
+# A change that alters trajectories on purpose must replace these digests and
+# say so.
 PINNED_CHAIN_REPORTS = [
     ((5, 2), ["sample", "--steps", "2000", "--samples", "200", "--seed", "7"],
-     "9490cc082409d51616f3161e5c730bd24ce33bad4ad42326effcb5be7927d892"),
+     "d04b5d3cdffad266bc9eabcbf2d2e9eba623fbb20d74d32c02647cf8204d91eb"),
     ((150, 10), ["sample", "--steps", "20000", "--samples", "2", "--seed", "1"],
-     "cb5219269a3b22378a998d1df5fc23811a97055eedbe96b86cd700399dbfb6cb"),
+     "1faa9edaf19dcd34a5e67f8eaca33b4f9894b1982a31a79c7f301980e65d52f8"),
     ((6, 3), ["count", "--approx", "--samples", "1000", "--seed", "0"],
-     "86e74069c1e770c4a0358e54d8685f7a7f44f431d587b3c98b7acd4d5334e8d0"),
+     "eda25c7ed9838274052dc06d5cca355194febb280968d81c927cf62df65a15b7"),
 ]
 
 
@@ -289,6 +291,15 @@ def test_validation_error_exit_two(capsys, tmp_path):
     p.write_text(json.dumps({"kind": "bipartite", "u_degrees": [1], "w_degrees": [2]}))
     code, payload = run(capsys, ["check", str(p)])
     assert code == 2 and payload["error"] == "DegreeSumMismatch"
+
+
+def test_degree_above_chord_count_exit_two(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(
+        {"kind": "bipartite", "u_degrees": [1, 1], "w_degrees": [2, 0], "star_center": 0, "star_leaves": [0]}
+    ))
+    code, payload = run(capsys, ["check", str(p)])
+    assert code == 2 and payload["error"] == "DegreeExceedsChords"
 
 
 def test_guard_exit_three(capsys, tmp_path):
@@ -405,6 +416,8 @@ def test_bench_schema(capsys, f2_path):
     assert code == 0
     assert payload["proposals"] == 2000
     assert payload["proposals_per_second"] > 0
+    # F2 tries a move at a step with probability 3/36 + 1/4 = 1/3
+    assert 500 <= payload["tries"] <= 830 and payload["tries_per_second"] > 0
     assert "kernel_seconds" in payload
 
 
@@ -417,3 +430,18 @@ def test_determinism_byte_identical(capsys, f2_path):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.integers(), min_size=2, max_size=2)  # the encoder's edge-pair path
+    | st.tuples(st.integers(), st.booleans()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_report_encoder_matches_json_dumps_property(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -66,6 +66,16 @@ def test_validate_degree_exceeds_class():
         core.bipartite_instance([3, 0], [2, 1])  # u0 demands 3 of 2 slots
 
 
+def test_validate_degree_exceeds_chords():
+    # w0 has two U-neighbours, but u0 is the star's center and w0 its leaf
+    with pytest.raises(DegreeExceedsChords, match="vertex 2 demands 2 of 1"):
+        core.bipartite_instance([1, 1], [2, 0], star_center=0, star_leaves=[0])
+    with pytest.raises(DegreeExceedsChords):
+        core.bipartite_instance([3, 0], [1, 1, 1], matching=[(0, 0)])
+    with pytest.raises(DegreeExceedsChords):
+        core.general_instance([2, 1, 1], matching=[(0, 1)])
+
+
 def test_validate_star_center_range():
     with pytest.raises(StarCenterOutOfRange):
         core.bipartite_instance([1, 1], [1, 1], star_center=5, star_leaves=[0])
@@ -142,7 +152,8 @@ def test_from_directed_zero_degrees_kept():
 
 
 def test_from_directed_two_zero_validates_but_not_graphical():
-    inst = core.from_directed([2, 0], [0, 2])
+    # vertex 0 needs arcs from 1 and 2, but 2 sends none
+    inst = core.from_directed([2, 2, 0], [2, 2, 0])
     assert subset_bruteforce(inst) == []
 
 
@@ -176,7 +187,7 @@ def test_to_directed_requires_directed_kind(f2, f2_reals):
     "out_deg,in_deg",
     [
         ((1, 1), (1, 1)),
-        ((2, 0), (1, 1)),
+        ((2, 2, 0), (2, 2, 0)),
         ((1, 2, 1), (2, 1, 1)),
         ((2, 2, 0), (1, 1, 2)),
         ((0, 1, 1), (1, 1, 0)),

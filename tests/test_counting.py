@@ -51,8 +51,8 @@ def _check_branch_tree(inst) -> int:
     """Check every child of the branch tree of inst, retired or not, against validation.
 
     A child must equal its own JSON round trip through ``validate_instance``,
-    except one that a retirement left with a W-vertex demanding more than
-    its U-class holds: that child has no realization.  Children of a
+    except one that a retirement left with a vertex demanding more than
+    its chords: that child has no realization.  Children of a
     half-regular instance stay half-regular.  Returns the number of such
     over-demanded children.
     """
