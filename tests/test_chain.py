@@ -318,7 +318,9 @@ def test_cell_rule_matches_try_moves_half_regular_property(inst):
 
 
 def _assert_try_rates_at_most_one(inst):
-    theta4, theta6, _ = chain.try_rates(inst)
+    theta4, theta6, kappa = chain.try_rates(inst)
+    utriples = combinations(range(inst.n_u), 3)
+    assert kappa == max((len(_permutation_blocks(inst, t)) for t in utriples), default=0)
     states = enumerate_all(inst)
     if theta4 + theta6 > 1:  # then the walker stays put, which is exact only without moves
         assert not any(next(chain.legal_moves(inst, s.edges), None) for s in states)
