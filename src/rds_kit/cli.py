@@ -388,11 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         command = argv[0] if argv and not argv[0].startswith("-") else None
         _emit({"schema": SCHEMA, "command": command, "error": "UsageError", "message": str(exc)})

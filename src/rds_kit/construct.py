@@ -8,14 +8,27 @@ options shrink fastest.  Deleted partners count as absent, and exact ties are
 re-broken away from pairs already spent in the same step (general instances
 can hold both endpoints of a forbidden pair in one neighbourhood).
 
-:func:`neighbor_order` ranks the partners as plain sort keys
-``(-degree, -partner_degree, vertex, partner)``, so one ``list.sort()`` puts
-them in processing order.
+:func:`neighbor_order` is the written definition of that order: the alive
+chord partners of x as sort keys ``(-degree, -partner_degree, vertex,
+partner)``.  :func:`greedy_construct` takes the same ranks from one lazy heap
+of ``(-degree, -partner_degree, vertex)`` over the candidates (the W class of
+bipartite kinds, every vertex of general ones) instead of sorting an order
+for every x.  Invariant: at the start of a step every alive candidate v has
+one fresh entry, the object ``current[v]``, holding its key now.  A key
+changes only when v is chosen, when its forbidden partner is chosen or when
+that partner is processed, so after each step exactly those vertices get a
+new entry; x's own partners are retired for its step.  Stale entries are
+harmless: a pop drops any entry that is not ``current[v]``, so a superseded
+key is never taken, and each entry is popped once, so the greedy costs
+O(n·d log n) for degrees at most d.  Normality needs no scan: a step can only
+break it through an alive vertex with two alive forbidden partners, and on
+valid input none is left once the star center is gone.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from heapq import heappop, heappush
+from typing import Iterable, Mapping
 
 from .core import ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import NotNormal, PreconditionViolated
@@ -62,33 +75,43 @@ def neighbor_order(
     return order
 
 
-def _select_neighbors(
-    order: list[tuple[int, int, int, int | None]], need: int
+def _take(
+    heap: list[tuple[int, int, int]],
+    current: list[tuple[int, int, int] | None],
+    partners: tuple[frozenset[int], ...],
+    need: int,
 ) -> list[int] | None:
-    """The first `need` vertices of the order, re-breaking exact ties away from spent pairs.
+    """Pop the first `need` candidates of the order, re-breaking exact ties away from spent pairs.
 
-    On general instances both endpoints of a forbidden pair can sit in one
+    Pops stale entries (not ``current[v]``) as it meets them.  On general
+    instances both endpoints of a forbidden pair can sit in one
     neighbourhood; taking both wastes the exclusion and can strand the other
     pairs, so within a (degree, partner-degree) tie the first candidate whose
-    partner is not yet chosen goes first.  Bipartite neighbourhoods never
-    contain a partner, so there the result is exactly the order prefix.
+    partner is not yet chosen goes first, and the held-back ones, which keep
+    their place at the head of the order, are taken only when the tie runs
+    out.  Bipartite neighbourhoods never contain a partner, so there the
+    result is exactly the order prefix.  A held-back entry needs no push
+    back: its partner was chosen, so the caller gives it a new entry.
     """
-    pool = list(order)
     chosen: list[int] = []
+    spent: set[int] = set()
+    held: list[tuple[int, int, int]] = []  # head of the tie, partner already chosen
     while len(chosen) < need:
-        if not pool:
+        while heap and current[heap[0][2]] is not heap[0]:
+            heappop(heap)
+        if held and not (heap and heap[0][:2] == held[0][:2]):
+            entry = held.pop(0)
+        elif not heap:
             return None
-        best = 0
-        for i, (neg_deg, neg_pdeg, _, partner) in enumerate(pool):
-            if (neg_deg, neg_pdeg) != pool[0][:2]:
-                break
-            if partner not in chosen:
-                best = i
-                break
-        neg_deg, _, y, _ = pool.pop(best)
-        if neg_deg >= 0:
+        else:
+            entry = heappop(heap)
+            if not partners[entry[2]].isdisjoint(spent):
+                held.append(entry)
+                continue
+        if entry[0] >= 0:
             return None
-        chosen.append(y)
+        chosen.append(entry[2])
+        spent.add(entry[2])
     return chosen
 
 
@@ -96,21 +119,53 @@ def greedy_construct(inst: ProblemInstance) -> Realization | None:
     """A realization if the instance is graphical, else None.
 
     Deterministic: the star center (U-index 0 when unset) goes first, then the
-    remaining vertices ascending; bipartite kinds only process the U class.
+    remaining vertices ascending; bipartite kinds only process the U class,
+    which holds the star center.
     """
     center = inst.effective_star_center
     last = inst.n_u if inst.is_bipartite_like else inst.n_vertices
-    process = [center] + [v for v in range(last) if v != center]
-    residuals = {v: inst.degree(v) for v in range(inst.n_vertices)}
+    first = inst.n_u if inst.is_bipartite_like else 0  # candidates: first .. n - 1
+    n = inst.n_vertices
+    residuals = dict(enumerate(inst.u_degrees + inst.w_degrees))
+    partners = inst.forbidden_partners
+    # the vertices that can hold two alive forbidden partners; on valid input
+    # none keeps two once the center is gone
+    hubs = [v for v in range(n) if len(partners[v]) > 1]
+    current: list[tuple[int, int, int] | None] = [None] * n
+    heap: list[tuple[int, int, int]] = []
     edges: set[tuple[int, int]] = set()
-    for x in process:
-        chosen = _select_neighbors(neighbor_order(inst, x, residuals), residuals[x])
+    changed: Iterable[int] = range(first, n)  # every candidate needs a first entry
+    for x in [center] + [v for v in range(last) if v != center]:
+        for y in changed:
+            if y >= first and y in residuals:
+                pdeg = ABSENT_PARTNER_DEGREE
+                for p in partners[y]:
+                    if p in residuals:
+                        pdeg = residuals[p]
+                        break
+                current[y] = entry = (-residuals[y], -pdeg, y)
+                heappush(heap, entry)
+        if hubs:
+            hubs = [h for h in hubs if h in residuals and sum(p in residuals for p in partners[h]) > 1]
+            if any(
+                inst.is_chord(x, h)
+                or sum(inst.is_chord(x, p) for p in partners[h] if p in residuals) > 1
+                for h in hubs
+            ):
+                neighbor_order(inst, x, residuals)  # raises the NotNormal of the full scan
+        current[x] = None
+        for v in partners[x]:  # not candidates of x, and x's death changes their keys
+            current[v] = None
+        chosen = _take(heap, current, partners, residuals[x])
         if chosen is None:
             return None
+        del residuals[x]
+        changed = set(partners[x])
         for y in chosen:
             edges.add(norm_pair(x, y))
             residuals[y] -= 1
-        del residuals[x]
+            changed.add(y)
+            changed.update(partners[y])
     if any(residuals.values()):
         return None
     return realization_from_global_edges(inst, edges)

@@ -200,7 +200,8 @@ def approx_count(
         half_regular=inst.half_regular,
         config=config,
     )
-    if greedy_construct(inst) is None:
+    start = greedy_construct(inst)  # the greedy realization of `work`, or None if not built yet
+    if start is None:
         report.graphical = False
         return report
 
@@ -208,7 +209,9 @@ def approx_count(
     estimate = 1.0
     work = inst
     while True:
-        work = retire_exhausted_centers(work)
+        retired = retire_exhausted_centers(work)
+        if retired is not work:
+            work, start = retired, None
         try:
             (s, v), absent, present = branch_split(work)
         except Exhausted:
@@ -217,18 +220,21 @@ def approx_count(
                 estimate = 0.0
             break
         chord = (s, v - work.n_u)
-        absent_ok = greedy_construct(absent) is not None
-        present_ok = present is not None and greedy_construct(present) is not None
+        absent_start = greedy_construct(absent)
+        present_start = None if present is None else greedy_construct(present)
+        absent_ok = absent_start is not None
+        present_ok = present_start is not None
         if not (absent_ok and present_ok):
             p_hat = 1.0 if present_ok else 0.0
-            work = present if present_ok else absent
+            work, start = (present, present_start) if present_ok else (absent, absent_start)
             report.levels.append(
                 CountLevel(chord, p_hat, forced=True, degenerate=False,
                            samples_used=0, branch="present" if present_ok else "absent")
             )
             continue
         rng = np.random.Generator(np.random.Philox(seed_seq.spawn(1)[0]))
-        start = greedy_construct(work)
+        if start is None:
+            start = greedy_construct(work)
         level_burn = default_burn_in(work) if burn_in is None else burn_in
         hits = 0
         total = 0
@@ -248,11 +254,11 @@ def approx_count(
             batch = total  # double the cumulative sample size
         if p_hat >= 0.5:
             estimate /= p_hat
-            work = present
+            work, start = present, present_start
             branch = "present"
         else:
             estimate /= 1.0 - p_hat
-            work = absent
+            work, start = absent, absent_start
             branch = "absent"
         report.levels.append(
             CountLevel(chord, p_hat, forced=False, degenerate=degenerate,

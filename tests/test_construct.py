@@ -1,10 +1,14 @@
+import sys
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rds_kit import construct, core, swaps
 from rds_kit.errors import NotNormal, PreconditionViolated
 from rds_kit.oracle import enumerate_all
 
-from conftest import subset_bruteforce
+from conftest import half_regular_instances, subset_bruteforce
 
 
 # -- neighbor_order ---------------------------------------------------------
@@ -222,16 +226,175 @@ def test_alive_partner_matches_forbidden_scan():
     assert checked > 1000
 
 
+def _select_neighbors(order, need):
+    """Reference: the first `need` vertices of the order, re-breaking exact ties away from spent pairs.
+
+    On general instances both endpoints of a forbidden pair can sit in one
+    neighbourhood; taking both wastes the exclusion and can strand the other
+    pairs, so within a (degree, partner-degree) tie the first candidate whose
+    partner is not yet chosen goes first.  Bipartite neighbourhoods never
+    contain a partner, so there the result is exactly the order prefix.
+    """
+    pool = list(order)
+    chosen: list[int] = []
+    while len(chosen) < need:
+        if not pool:
+            return None
+        best = 0
+        for i, (neg_deg, neg_pdeg, _, partner) in enumerate(pool):
+            if (neg_deg, neg_pdeg) != pool[0][:2]:
+                break
+            if partner not in chosen:
+                best = i
+                break
+        neg_deg, _, y, _ = pool.pop(best)
+        if neg_deg >= 0:
+            return None
+        chosen.append(y)
+    return chosen
+
+
+def _reference_greedy(inst):
+    """Reference: the greedy that sorts the whole neighbour order of every processed vertex."""
+    center = inst.effective_star_center
+    last = inst.n_u if inst.is_bipartite_like else inst.n_vertices
+    process = [center] + [v for v in range(last) if v != center]
+    residuals = {v: inst.degree(v) for v in range(inst.n_vertices)}
+    edges: set[tuple[int, int]] = set()
+    for x in process:
+        chosen = _select_neighbors(construct.neighbor_order(inst, x, residuals), residuals[x])
+        if chosen is None:
+            return None
+        for y in chosen:
+            edges.add(core.norm_pair(x, y))
+            residuals[y] -= 1
+        del residuals[x]
+    if any(residuals.values()):
+        return None
+    return core.realization_from_global_edges(inst, edges)
+
+
+def _outcome(greedy, inst):
+    """The edge set or None a greedy returns, or the class and message of what it raises."""
+    try:
+        real = greedy(inst)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return None if real is None else real.edges
+
+
+def _assert_matches_reference(inst):
+    expected = _outcome(_reference_greedy, inst)
+    assert _outcome(construct.greedy_construct, inst) == expected, inst
+    return expected
+
+
 @pytest.mark.parametrize("n", [10, 30, 100])
 def test_greedy_matches_reference_greedy(monkeypatch, n):
+    # the reference, itself run with a scanning partner lookup and a
+    # re-ranking selection, against the heap greedy
     for d in (2, n // 3):
         inst = _half_regular(n, d)
         got = construct.greedy_construct(inst)
         with monkeypatch.context() as m:
             m.setattr(construct, "_alive_partner", _alive_partner_by_scan)
-            m.setattr(construct, "_select_neighbors", _select_by_min)
-            expected = construct.greedy_construct(inst)
+            m.setattr(sys.modules[__name__], "_select_neighbors", _select_by_min)
+            expected = _reference_greedy(inst)
         assert got is not None and got.edges == expected.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_regular_instances())
+def test_greedy_matches_reference_half_regular_property(inst):
+    assert _assert_matches_reference(inst) is not None
+
+
+@st.composite
+def _general_instances(draw):
+    """Valid general instances with near-regular degrees, a star and a matching."""
+    n = draw(st.integers(3, 8))
+    d = draw(st.integers(1, 3))
+    degrees = [d + draw(st.integers(0, 1)) for _ in range(n)]
+    degrees[0] += sum(degrees) % 2
+    order = draw(st.permutations(range(n)))
+    center = order[0]
+    leaves = order[1: 1 + draw(st.integers(0, 2))]
+    shuffled = draw(st.permutations(range(n)))
+    matching = [shuffled[2 * i: 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
+    try:
+        return core.general_instance(degrees, center, leaves, matching)
+    except core.ValidationError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_general_instances())
+def test_greedy_matches_reference_general_property(inst):
+    _assert_matches_reference(inst)
+
+
+@st.composite
+def _directed_instances(draw):
+    n = draw(st.integers(2, 7))
+    out_degrees = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    in_degrees = draw(st.permutations(out_degrees))
+    return core.from_directed(out_degrees, in_degrees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_directed_instances())
+def test_greedy_matches_reference_directed_property(inst):
+    _assert_matches_reference(inst)
+
+
+@st.composite
+def _raw_instances(draw):
+    """Unvalidated instances: overlapping matchings, odd sums, leaves on either side.
+
+    Bipartite kinds keep their star center in U, as the greedy requires.
+    """
+    kind = draw(st.sampled_from([core.KIND_BIPARTITE, core.KIND_GENERAL, core.KIND_DIRECTED]))
+    if kind == core.KIND_GENERAL:
+        n_u = draw(st.integers(2, 7))
+        n, w_degrees = n_u, ()
+    else:
+        n_u = draw(st.integers(1, 5))
+        n = n_u + draw(st.integers(1, 5))
+        w_degrees = tuple(draw(st.lists(st.integers(0, 3), min_size=n - n_u, max_size=n - n_u)))
+    u_degrees = tuple(draw(st.lists(st.integers(0, 3), min_size=n_u, max_size=n_u)))
+    center = draw(st.none() | st.integers(0, n_u - 1))
+    leaves = draw(st.frozensets(st.integers(0, n - 1).filter(lambda v: v != center)))
+    pairs = draw(st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    matching = frozenset(core.norm_pair(a, b) for a, b in pairs if a != b)
+    return core.ProblemInstance(kind, u_degrees, w_degrees, center, leaves, matching)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_instances())
+def test_greedy_matches_reference_raw_property(inst):
+    _assert_matches_reference(inst)
+
+
+def test_greedy_raises_reference_not_normal_on_raw_instances():
+    # w1 is matched to u1 and u2, so it has two alive forbidden partners at u0;
+    # w0 and w2 share the partner u1 at u2
+    bipartite = core.ProblemInstance(
+        core.KIND_BIPARTITE, (1, 1, 1), (1, 1, 1), None, frozenset(), frozenset({(1, 4), (2, 4)})
+    )
+    shared = core.ProblemInstance(
+        core.KIND_BIPARTITE, (0, 1, 1), (1, 0, 1), None, frozenset(), frozenset({(1, 3), (1, 5)})
+    )
+    general = core.ProblemInstance(
+        core.KIND_GENERAL, (1, 1, 1, 1), (), 0, frozenset({1}), frozenset({(1, 2), (2, 3)})
+    )
+    messages = []
+    for inst in (bipartite, shared, general):
+        expected = _assert_matches_reference(inst)
+        assert expected[0] is NotNormal
+        messages.append(expected[1])
+    assert messages[0] == "vertex 4 has forbidden partners [1, 2]"
+    assert messages[1] == "vertices 3 and 5 share forbidden partner 1"
+    assert messages[2] == "vertex 2 has forbidden partners [1, 3]"
 
 
 # -- repair_swap ------------------------------------------------------------
