@@ -46,14 +46,14 @@ needs three forbidden pairs, and then E <= ab - 3 gives theta4 <= 3/4, since
 kappa <= C(n_w,3) gives theta6 <= 1/4.  Where theta exceeds 1 no state has a
 legal move, and the chain stays.
 
-The walker keeps one int per cell of each chain, in the ``(n_w, n_u)``
-layout of :attr:`Realization.matrix`, so (u, j) is cell ``j * n_u + u``: the
-slot of its edge, -1 for a free chord, -2 for a forbidden pair.  Slot s
-holds the cell of the chain's s-th edge.  The chains lie back to back in
-both, so slots and cells carry their chain's offset.  numpy draws the tries
-of all chains in blocks, step t of chain k at flat position t * K + k, and
-one Python loop applies them in that order.  A trajectory depends only on
-the seed, the step count and the chain count.
+The walker keeps one int per cell of each chain, (u, j) at ``j * n_u + u``:
+the slot of its edge, -1 for a free chord, -2 for a forbidden pair.  Slot s
+holds the cell of the chain's s-th edge, the start's edges in ascending cell
+order.  The chains lie back to back in both, so slots and cells carry their
+chain's offset.  numpy draws the tries of all chains in blocks, step t of
+chain k at flat position t * K + k, and one Python loop applies them in that
+order.  A trajectory depends only on the seed, the step count and the chain
+count.  States come in and go out as edge sets; no dense matrix is built.
 """
 
 from __future__ import annotations
@@ -216,14 +216,16 @@ def _hexagons(inst: ProblemInstance, utriple: tuple[int, int, int]) -> list[tupl
 
 def _state(inst: ProblemInstance, start: Realization, chains: int) -> tuple[list[int], list[int]]:
     """Cells and edge slots of `chains` copies of `start`, back to back."""
-    size = inst.n_u * inst.n_w
-    edges = np.flatnonzero(start.matrix)
-    cells = np.where(inst.forbidden_mask.ravel(), -2, -1)
-    cells[edges] = np.arange(len(edges))
-    offset = np.arange(chains)[:, None]
-    cells = np.tile(cells, (chains, 1))
-    cells += (cells >= 0) * (offset * len(edges))
-    return cells.ravel().tolist(), (edges + offset * size).ravel().tolist()
+    n_u, size = inst.n_u, inst.n_u * inst.n_w
+    edges = sorted((w - n_u) * n_u + u for u, w in start.edges)
+    cells = [-1] * size
+    for c in np.flatnonzero(inst.forbidden_mask).tolist():
+        cells[c] = -2
+    cells *= chains
+    slots = [offset + c for offset in range(0, chains * size, size) for c in edges]
+    for s, c in enumerate(slots):
+        cells[c] = s
+    return cells, slots
 
 
 def _walk(cells: list[int], slots: list[int], n_u: int, tries, hexagons, probe=-1) -> list[int]:
@@ -319,37 +321,32 @@ def _advance(
 
 
 def _from_slots(inst: ProblemInstance, slots: list[int], chains: int) -> list[Realization]:
-    """The realizations of the walker's chains: an edge at the cell of each slot."""
-    cells = np.zeros(chains * inst.n_u * inst.n_w, dtype=np.int8)
-    cells[slots] = 1
-    return _from_cells(inst, cells.tobytes())
+    """The realizations of the walker's chains: an edge at the cell of each slot.
 
-
-def _from_cells(inst: ProblemInstance, cells: bytearray) -> list[Realization]:
-    """The realizations whose edges are the set cells of each state, checked at once.
-
-    Every state is checked in numpy: no set cell is forbidden, and the row and
-    column sums are the W and U degrees.
+    Checks, each over all chains, that no edge is forbidden, then the U and
+    the W degrees, and raises at the first fault in chain, then cell or
+    vertex order.  A cell held twice counts once.
     """
-    n_u = inst.n_u
-    states = np.frombuffer(cells, dtype=np.int8).reshape(-1, inst.n_w, n_u)
-    bad = np.argwhere(states & inst.forbidden_mask)
+    n_u, n_w, per = inst.n_u, inst.n_w, len(slots) // chains
+    cells = np.sort(np.array(slots, dtype=np.int64).reshape(chains, per), axis=1)
+    cells -= np.arange(chains)[:, None] * (n_u * n_w)
+    js, us = np.divmod(cells, n_u)
+    bad = np.argwhere(inst.forbidden_mask[js, us])
     if len(bad):
-        _, j, u = bad[0].tolist()
-        raise NotAChord(f"pair {(u, j + n_u)} is not a chord")
-    for sums, degrees, first in (
-        (states.sum(axis=1), inst.u_degrees, 0), (states.sum(axis=2), inst.w_degrees, n_u)
-    ):
+        k, s = bad[0].tolist()
+        raise NotAChord(f"pair {(int(us[k, s]), int(js[k, s]) + n_u)} is not a chord")
+    fresh = np.diff(cells, prepend=-1) != 0
+    owner = np.nonzero(fresh)[0]  # the chain of each distinct cell
+    for vs, n, degrees, first in ((us, n_u, inst.u_degrees, 0), (js, n_w, inst.w_degrees, n_u)):
+        sums = np.bincount(owner * n + vs[fresh], minlength=chains * n).reshape(chains, n)
         wrong = np.argwhere(sums != degrees)
         if len(wrong):
             k, v = wrong[0].tolist()
             raise ValidationError(
                 f"vertex {first + v} has degree {sums[k, v]}, instance demands {degrees[v]}"
             )
-    _, js, us = np.nonzero(states)
-    pairs = list(zip(us.tolist(), (js + n_u).tolist()))
-    per = sum(inst.u_degrees)
-    return [Realization(inst, frozenset(pairs[k * per:(k + 1) * per])) for k in range(len(states))]
+    pairs = list(zip(us.ravel().tolist(), (js.ravel() + n_u).tolist()))
+    return [Realization(inst, frozenset(pairs[k * per:(k + 1) * per])) for k in range(chains)]
 
 
 def walk_chains(
@@ -369,6 +366,7 @@ def walk_chains(
     rng = np.random.Generator(np.random.Philox(seed))
     cells, slots = _state(inst, start, chains)
     tries, _ = _advance(inst, cells, slots, steps, rng)
+    del cells  # else each garbage collection in _from_slots walks all n_u * n_w * K cells
     return _from_slots(inst, slots, chains), tries
 
 

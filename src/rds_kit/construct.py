@@ -135,7 +135,7 @@ def greedy_construct(inst: ProblemInstance) -> Realization | None:
     heap: list[tuple[int, int, int]] = []
     edges: set[tuple[int, int]] = set()
     changed: Iterable[int] = range(first, n)  # every candidate needs a first entry
-    for x in [center] + [v for v in range(last) if v != center]:
+    for x in ([center] if last else []) + [v for v in range(last) if v != center]:
         for y in changed:
             if y >= first and y in residuals:
                 pdeg = ABSENT_PARTNER_DEGREE

@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -378,12 +378,14 @@ def test_end_states_follow_exact_kernel_power(name, steps, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(half_regular_instances(), st.integers(2, 6), st.integers(1, 200), st.integers(0, 2**32 - 1))
+@given(half_regular_instances(), st.integers(1, 6), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_walk_keeps_chains_apart_property(inst, chains, steps, seed):
-    """Each chain's slots stay in its own cells, every slot's cell names it back,
-    and every chain ends in a realization."""
+    """The start's slots read back as the start; each chain's slots stay in its
+    own cells, every slot's cell names it back, and every chain ends in a
+    realization."""
     start = construct.greedy_construct(inst)
     cells, slots = chain._state(inst, start, chains)
+    assert chain._from_slots(inst, slots, chains) == [start] * chains
     chain._advance(inst, cells, slots, steps, np.random.Generator(np.random.Philox(seed)))
     size, per = inst.n_u * inst.n_w, len(slots) // chains
     assert all(c // size == s // per for s, c in enumerate(slots))
@@ -452,17 +454,33 @@ def test_run_chain_many_chains(f2, f2_reals):
         chain.run_chain(f2, ra, 60, seed=5, chains=0)
 
 
-def test_from_cells_checks_every_state(f2, f2_reals):
+def test_from_slots_checks_every_state(f2, f2_reals):
+    """A slot of the second chain moved onto a forbidden cell, to a free cell in
+    another row or column, or onto another slot raises as the dense check did."""
     ra, rb = f2_reals
-    good = ra.matrix.tobytes()
-    assert chain._from_cells(f2, bytearray(good + rb.matrix.tobytes())) == [ra, rb]
-    diagonal = bytes([1, 0, 0, 0, 1, 0, 0, 0, 1])  # right margins, every edge forbidden
-    with pytest.raises(NotAChord):
-        chain._from_cells(f2, bytearray(good + diagonal))
-    short = bytearray(good)
-    short[good.index(1)] = 0  # one edge missing
-    with pytest.raises(ValidationError):
-        chain._from_cells(f2, bytearray(good) + short)
+    size = f2.n_u * f2.n_w
+    slots = chain._state(f2, ra, 1)[1] + [size + c for c in chain._state(f2, rb, 1)[1]]
+    assert chain._from_slots(f2, slots, 2) == [ra, rb]
+    assert slots[3:] == [size + 1, size + 5, size + 6]  # rb: u1-w0, u2-w1, u0-w2
+    for cell, error, message in (
+        (0, NotAChord, "pair (0, 3) is not a chord"),  # onto the forbidden u0-w0
+        (2, ValidationError, "vertex 1 has degree 0, instance demands 1"),  # to u2, same row
+        (7, ValidationError, "vertex 3 has degree 0, instance demands 1"),  # to w2, same column
+        (5, ValidationError, "vertex 1 has degree 0, instance demands 1"),  # onto another slot
+    ):
+        moved = slots[:3] + [size + cell] + slots[4:]
+        with pytest.raises(error) as raised:
+            chain._from_slots(f2, moved, 2)
+        assert str(raised.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(star_matching_instances(), st.integers(1, 6))
+@example(core.bipartite_instance([0, 0], [0, 0]), 3)
+def test_state_round_trip_property(inst, chains):
+    """The slots of K copies of a realization read back as K copies of it."""
+    for start in enumerate_all(inst):
+        assert chain._from_slots(inst, chain._state(inst, start, chains)[1], chains) == [start] * chains
 
 
 def test_exact_kernel_guard(f3):

@@ -277,6 +277,31 @@ def test_convert_directed(capsys, tmp_path):
     assert payload["instance"]["matching"] == [[0, 0], [1, 1]]
 
 
+@pytest.mark.parametrize("raw", [
+    {"kind": "bipartite", "u_degrees": [], "w_degrees": []},
+    {"kind": "general", "degrees": []},
+    {"kind": "directed", "out_degrees": [], "in_degrees": []},
+], ids=lambda raw: raw["kind"])
+def test_empty_instance_reports_on_every_subcommand(capsys, tmp_path, raw):
+    """No vertices: every subcommand prints one report with a documented exit
+    code, and the greedy finds the one realization, the empty graph."""
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(raw))
+    reports = {}
+    for argv in (
+        ["check"], ["construct"], ["sample"], ["enumerate"], ["count", "--exact"],
+        ["count", "--approx"], ["distance", "--from", "[]", "--to", "[]"], ["kernel"],
+        ["audit-paths"], ["convert-directed"], ["bench", "--steps", "10"],
+    ):
+        code, payload = run(capsys, [*argv, str(p)])
+        assert code in (0, 1, 2, 3) and payload["command"] == argv[0]
+        reports[" ".join(argv[:2])] = code, payload
+    assert reports["count --exact"][1]["count"] == reports["enumerate"][1]["count"] == "1"
+    assert reports["check"][0] == reports["construct"][0] == 0
+    assert reports["check"][1]["graphical"] is reports["construct"][1]["graphical"] is True
+    assert [reports["construct"][1]["edges"]] == reports["enumerate"][1]["realizations"]
+
+
 def test_malformed_json_exit_two(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"kind": "bipartite",')
