@@ -303,12 +303,19 @@ TWO_LEAF_STAR = core.bipartite_instance(
 WIDE_STAR = core.bipartite_instance(
     [2] * 5, [2] * 5, star_center=0, star_leaves=[0, 1], matching=[(1, 2), (2, 3), (3, 4)]
 )
+# 88 states, 48 c6 moves through the center u2; its partners are its match w1 and
+# the leaves w0 and w2, so kappa = 3; u1 is matched to the leaf w2, which rules
+# out every U-triple with u1 and u2
+MATCHED_CENTER = core.bipartite_instance(
+    [2, 2, 1, 2, 2], [2, 2, 2, 2, 1], star_center=2, star_leaves=[0, 2],
+    matching=[(2, 1), (1, 2), (0, 3), (3, 4)],
+)
 
 
 def test_cell_rule_matches_try_moves(f2, f3, roadmap_4x4):
-    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED, TWO_LEAF_STAR, WIDE_STAR):
+    for inst in (f2, f3, roadmap_4x4, HALF_REGULAR_5X5, MIXED, TWO_LEAF_STAR, WIDE_STAR, MATCHED_CENTER):
         _assert_tries_match_moves(inst)
-    assert chain.try_rates(WIDE_STAR)[2] == 2 and chain.try_rates(TWO_LEAF_STAR)[2] == 0
+    assert [chain.try_rates(inst)[2] for inst in (TWO_LEAF_STAR, WIDE_STAR, MATCHED_CENTER)] == [0, 2, 3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -442,6 +449,25 @@ def test_single_chain_end_states_match_pinned_digest():
             [end] = chain.run_chain(inst, start, steps, seed, chains=1)
             digest.update(repr(end.key).encode())
     assert digest.hexdigest() == SINGLE_CHAIN_SHA256
+
+
+# SHA-256 of the end states of 50 chains of 400 steps (seeds 0-2) on instances
+# with kappa > 1, where the order of a U-triple's hexagons decides the trajectory.
+WALKER_INDEX_ORDER = [
+    ("WIDE_STAR", "464a96a58331ef9d58942c44f42abab535171fa5fb2641de61d479de9af034c1"),
+    ("MATCHED_CENTER", "d9cab4600e8fe79efffce0b50aefeccaa24d7918049a85997684425146ff9a7f"),
+]
+
+
+@pytest.mark.parametrize("name, expected", WALKER_INDEX_ORDER, ids=[n for n, _ in WALKER_INDEX_ORDER])
+def test_walker_index_order_matches_pinned_digest(name, expected):
+    inst = {"WIDE_STAR": WIDE_STAR, "MATCHED_CENTER": MATCHED_CENTER}[name]
+    start = construct.greedy_construct(inst)
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for end in chain.run_chain(inst, start, 400, seed, chains=50):
+            digest.update(repr(end.key).encode())
+    assert digest.hexdigest() == expected
 
 
 def test_run_chain_many_chains(f2, f2_reals):
