@@ -31,7 +31,9 @@ drawn as geometric gaps and the lazy steps cost nothing (:func:`try_rates`):
   U-triple and a uniform index below kappa, the most W-triples one U-triple
   has whose forbidden 3x3 block is a permutation.  The index picks one of
   this U-triple's such W-triples, or is a lazy step past their number, and
-  the hexagon rule decides the move.
+  the hexagon rule decides the move.  With a star plus a matching these
+  blocks have a closed form, so kappa and every hexagon come from one rule
+  on a table of forbidden partners (:func:`_partner_table`).
 
 So each legal move keeps its probability :func:`_move_probability` per
 step, and ``steps`` always counts steps of the paper's chain.
@@ -61,7 +63,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -167,51 +169,62 @@ def legal_moves(inst: ProblemInstance, edges) -> Iterator[tuple[str, tuple[Pair,
                     yield kind, toggle
 
 
-def _c6_fanout(inst: ProblemInstance) -> int:
-    """kappa: the most W-triples one U-triple has whose forbidden 3x3 block is a permutation.
+def _partner_table(inst: ProblemInstance) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The 6-cycle rule: each U-vertex's one forbidden partner, the star center,
+    its partners, and kappa, the most W-triples one U-triple has whose
+    forbidden 3x3 block is a permutation.
 
     Off the star center a U-vertex's one forbidden partner is its matching
-    partner, so a U-triple without the center has one such W-triple when all
-    three are matched, and none otherwise.  A U-triple (s, y, z) with the
-    center s has one for each forbidden partner of s when y and z are matched
-    to W-vertices that are not partners of s, and none otherwise.
+    partner, held as a W-index, -1 if it has none and at the center; the
+    center is -1 if there is none, and its partners are W-indices, ascending.
+    A U-triple without the center has one such W-triple, the partners of its
+    three vertices, when all three are matched, and none otherwise.  A
+    U-triple (s, y, z) with the center s has one for each partner of s, in
+    ascending order, when y and z are matched to W-vertices that are not
+    partners of s, and none otherwise.
     """
-    partners = inst.forbidden_partners
-    s = inst.star_center
-    matched = [u for u in range(inst.n_u) if u != s and partners[u]]
-    kappa = int(len(matched) >= 3)
-    if s is not None and sum(not partners[u] & partners[s] for u in matched) >= 2:
-        kappa = max(kappa, len(partners[s]))
-    return kappa
+    partners, n_u = inst.forbidden_partners, inst.n_u
+    center = -1 if inst.star_center is None else inst.star_center
+    partner = np.array(
+        [min(partners[u]) - n_u if partners[u] and u != center else -1 for u in range(n_u)],
+        dtype=np.int64,
+    )
+    ring = np.array(sorted(partners[center]) if center >= 0 else [], dtype=np.int64) - n_u
+    apart = (partner >= 0) & ~np.isin(partner, ring)
+    kappa = max(int((partner >= 0).sum() >= 3), len(ring) * int(apart.sum() >= 2))
+    return partner, center, ring, kappa
+
+
+def _rates(inst: ProblemInstance, kappa: int) -> tuple[Fraction, Fraction, int]:
+    """:func:`try_rates` for a known kappa."""
+    n_u, n_w = inst.n_u, inst.n_w
+    theta4 = Fraction(comb(sum(inst.u_degrees), 2), 4 * comb(n_u, 2) * comb(n_w, 2))
+    theta6 = Fraction(kappa, 4 * comb(n_w, 3)) if kappa else Fraction(0)
+    return theta4, theta6, kappa
 
 
 def try_rates(inst: ProblemInstance) -> tuple[Fraction, Fraction, int]:
     """theta4 and theta6, the chances that a step tries a 4-cycle and a 6-cycle, and kappa."""
     _require_chain_instance(inst)
-    n_u, n_w = inst.n_u, inst.n_w
-    theta4 = Fraction(comb(sum(inst.u_degrees), 2), 4 * comb(n_u, 2) * comb(n_w, 2))
-    kappa = _c6_fanout(inst)
-    theta6 = Fraction(kappa, 4 * comb(n_w, 3)) if kappa else Fraction(0)
-    return theta4, theta6, kappa
+    return _rates(inst, _partner_table(inst)[3])
 
 
-def _hexagons(inst: ProblemInstance, utriple: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    """The hexagons a 6-cycle try on a sorted U-triple can pick, in index order.
-
-    One for each W-triple whose forbidden block with the U-triple is a
-    permutation s: the cells of x - s(y) - z - s(x) - y - s(z), three even
-    cells then three odd ones, in chain 0.
+def _c6_cells(table, utriples: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which 6-cycle tries, on sorted U-triples with an index each, pick a
+    hexagon by the rule of :func:`_partner_table`, and the cells of each
+    picked one in chain 0: x - s(y) - z - s(x) - y - s(z), three even cells
+    then three odd ones.  The others are lazy steps.
     """
-    partners, n_u = inst.forbidden_partners, inst.n_u
-    x, y, z = utriple
-    out = []
-    for ws in product(*(sorted(partners[u]) for u in utriple)):
-        block = set(ws)
-        if len(block) == 3 and all(len(partners[u] & block) == 1 for u in utriple):
-            sx, sy, sz = (w - n_u for w in ws)
-            out.append((sy * n_u + x, sx * n_u + z, sz * n_u + y,
-                        sy * n_u + z, sx * n_u + y, sz * n_u + x))
-    return out
+    partner, center, ring, _ = table
+    spokes = partner[utriples]  # each vertex's partner, -1 at the center
+    at_center = utriples == center
+    with_center = at_center.any(axis=1)
+    clash = np.isin(spokes, ring).any(axis=1)  # a vertex matched to a partner of the center
+    live = np.where(with_center, (index < len(ring)) & ~clash, index == 0)
+    live &= ((spokes >= 0) | at_center).all(axis=1)
+    spokes, at_center, ends = spokes[live], at_center[live], utriples[live]
+    spokes[at_center] = ring[index[live][with_center[live]]]
+    return live, spokes[:, [1, 0, 2, 1, 0, 2]] * len(partner) + ends[:, [0, 2, 1, 2, 1, 0]]
 
 
 def _state(inst: ProblemInstance, start: Realization, chains: int) -> tuple[list[int], list[int]]:
@@ -278,9 +291,9 @@ def _advance(
     n_u, size = inst.n_u, inst.n_u * inst.n_w
     chains = len(cells) // size
     edges = len(slots) // chains
-    theta4, theta6, kappa = try_rates(inst)
+    table = _partner_table(inst)
+    theta4, theta6, kappa = _rates(inst, table[3])
     theta = float(theta4 + theta6)
-    table: dict[int, list] = {}  # U-triple key -> its hexagons, padded to kappa
     before = int(cells[probe] >= 0) if len(reads) else 0
     total, last, tries, flips = steps * chains, -1, 0, []
     while 0 < theta <= 1 and last < total - 1:
@@ -293,19 +306,8 @@ def _advance(
         pairs = _distinct_draws(rng, edges, int(is4.sum()), 2) + (k[is4] * edges)[:, None]
         utriples = np.sort(_distinct_draws(rng, n_u, len(at) - len(pairs), 3), axis=1)
         index = rng.integers(0, kappa, len(utriples))
-        keys, first, inverse = np.unique(
-            (utriples[:, 0] * n_u + utriples[:, 1]) * n_u + utriples[:, 2],
-            return_index=True, return_inverse=True,
-        )
-        for key, utriple in zip(keys.tolist(), utriples[first].tolist()):
-            if key not in table:
-                found = _hexagons(inst, tuple(utriple))
-                table[key] = found + [(-1,) * 6] * (kappa - len(found))
-        # the hexagon each 6-cycle try picks; -1s where its index is past them, a lazy step
-        picked = np.array([table[key] for key in keys.tolist()], dtype=np.int64)
-        picked = picked.reshape(len(keys), kappa, 6)[inverse, index]
-        live6 = picked[:, 0] >= 0
-        hexagons = picked[live6] + (k[~is4][live6] * size)[:, None]
+        live6, hexagons = _c6_cells(table, utriples, index)
+        hexagons += (k[~is4][live6] * size)[:, None]
         # a try is (step, e1, e2), or (step, hexagon row, -1)
         rows = np.empty((len(at), 3), dtype=np.int64)
         rows[:, 0] = at // chains

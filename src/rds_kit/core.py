@@ -270,18 +270,27 @@ def realization_from_global_edges(inst: ProblemInstance, edges: Iterable[Pair]) 
 
 
 def _check_edges(inst: ProblemInstance, edge_set: frozenset[Pair]) -> None:
-    """Every pair is a chord and every vertex meets its degree."""
-    degrees = [0] * inst.n_vertices
+    """Every pair is a chord and every vertex meets its degree.
+
+    The pairs are normalized, smaller id first.  One pass tests each pair
+    inline, as :meth:`ProblemInstance.is_chord` does, and sends a failing
+    pair through ``is_chord`` itself, which raises for a vertex out of range.
+    """
+    n, n_u, partners = inst.n_vertices, inst.n_u, inst.forbidden_partners
+    bipartite = inst.is_bipartite_like
+    degrees = [0] * n
     for a, b in edge_set:
-        if not inst.is_chord(a, b):
+        # a U-vertex then a W-vertex, or two distinct vertices of a general instance
+        if not (0 <= a < n_u <= b < n if bipartite else 0 <= a < b < n) or b in partners[a]:
+            inst.is_chord(a, b)
             raise NotAChord(f"pair {(a, b)} is not a chord")
         degrees[a] += 1
         degrees[b] += 1
-    for v, d in enumerate(degrees):
-        if d != inst.degree(v):
-            raise ValidationError(
-                f"vertex {v} has degree {d}, instance demands {inst.degree(v)}"
-            )
+    if degrees != [*inst.u_degrees, *inst.w_degrees]:
+        v = next(v for v, d in enumerate(degrees) if d != inst.degree(v))
+        raise ValidationError(
+            f"vertex {v} has degree {degrees[v]}, instance demands {inst.degree(v)}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from .construct import greedy_construct
 from .errors import Exhausted, PreconditionViolated
 from .oracle import enumerate_all
 
+THIN = 1  # the approximate counter reads every step of its chain
+MAX_DOUBLINGS = 3  # retries, with doubled samples, of a level estimated at 0 or 1
+
 
 def _delete_u_vertex(inst: ProblemInstance, s: int) -> ProblemInstance:
     """Drop a retired zero-degree U-vertex and its star; every later global id moves down one."""
@@ -174,14 +177,12 @@ def approx_count(
     samples_per_level: int = 1000,
     burn_in: int | None = None,
     seed: int = 0,
-    thin: int = 1,
-    max_doublings: int = 3,
 ) -> CountReport:
     """Randomized estimate of the realization count via the self-reduction.
 
     Levels whose two branches are not both graphical are forced and skip
     sampling.  A sampled estimate of exactly 0 or 1 is retried with doubled
-    cumulative samples up to `max_doublings` times, then accepted and flagged.
+    cumulative samples up to ``MAX_DOUBLINGS`` times, then accepted and flagged.
     Deterministic for a fixed seed.
     """
     if not inst.is_bipartite_like:
@@ -190,8 +191,8 @@ def approx_count(
         "samples_per_level": samples_per_level,
         "burn_in": burn_in,
         "seed": seed,
-        "thin": thin,
-        "max_doublings": max_doublings,
+        "thin": THIN,
+        "max_doublings": MAX_DOUBLINGS,
     }
     report = CountReport(
         mode="approximate",
@@ -241,9 +242,9 @@ def approx_count(
         batch = samples_per_level
         state = start
         degenerate = False
-        for attempt in range(max_doublings + 1):
+        for attempt in range(MAX_DOUBLINGS + 1):
             batch_hits, state = sample_edge_frequency(
-                work, state, (s, v), batch, level_burn if attempt == 0 else 0, thin, rng
+                work, state, (s, v), batch, level_burn if attempt == 0 else 0, THIN, rng
             )
             hits += batch_hits
             total += batch

@@ -118,14 +118,13 @@ def _enumerate_general(inst: ProblemInstance, collect) -> None:
     rec(0)
 
 
-def enumerate_fswaps(real: Realization, max_length: int | None = None) -> list[ChordCircuit]:
+def enumerate_fswaps(real: Realization) -> list[ChordCircuit]:
     """All F-compatible elementary circular swaps (alternating circuits) at a realization."""
     inst = real.instance
-    if max_length is None:
-        if inst.is_bipartite_like:
-            max_length = 2 * min(inst.n_u, inst.n_w)
-        else:
-            max_length = 2 * inst.n_vertices
+    if inst.is_bipartite_like:
+        max_length = 2 * min(inst.n_u, inst.n_w)
+    else:
+        max_length = 2 * inst.n_vertices
     out = []
     for circ in _alternating_elementary_circuits(real, max_length):
         if is_f_compatible(inst, circ):

@@ -33,6 +33,7 @@ from .errors import AuditFailed, NotAMilestonePair, PreconditionViolated
 from .swaps import ChordCircuit, decompose_symmetric_difference
 
 HAMMING_BOUND = 16  # one swap (4 positions) plus three switches (4 each)
+MAX_SWITCHES = 3  # the most corner switches one repair may need
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +292,6 @@ class PathReport:
     omega_ok: bool | None = None
     max_hamming: int | None = None
 
-    def to_json_dict(self) -> dict:
-        inst = self.source.instance
-        return {
-            "from": self.source.to_pairs(),
-            "to": self.target.to_pairs(),
-            "cycles": [
-                [
-                    [inst.vertex_class(v), v if v < inst.n_u else v - inst.n_u]
-                    for v in c.vertices
-                ]
-                for c in self.cycles
-            ],
-            "milestones": [m.to_pairs() for m in self.milestones],
-            "moves": [
-                {
-                    "move": st.move,
-                    "weight": st.weight,
-                    "count2": st.bad.count2,
-                    "count_minus1": st.bad.count_minus1,
-                    "same_column": st.bad.same_column,
-                    "column_not_star": st.bad.column_not_star,
-                    "hamming_nearest": st.hamming_nearest,
-                    "repair_switches": st.repair_switches,
-                }
-                for st in self.steps
-            ],
-            "cycle_weights": [
-                {"half_length": l, "emitted_weight": w} for l, w in self.cycle_weights
-            ],
-            "theta_ok": self.theta_ok,
-            "omega_ok": self.omega_ok,
-            "max_hamming": self.max_hamming,
-        }
-
 
 # ---------------------------------------------------------------------------
 # switch repair
@@ -350,13 +317,13 @@ def _value(m: ChordMatrix, u: int, w: int) -> int | None:
     return int(m.values[r, u])
 
 
-def switch_repair(m: ChordMatrix, max_switches: int = 3) -> tuple[list[Switch], Realization]:
+def switch_repair(m: ChordMatrix) -> tuple[list[Switch], Realization]:
     """Corner switches turning an audit matrix into a realization matrix.
 
     Requires constant column sums away from the star center and at most two
     2-entries plus at most one -1-entry, all in one column.  Each switch adds
     1 on one diagonal of a 2x2 submatrix and subtracts 1 on the other, never
-    touching a forbidden corner; at most three are needed.
+    touching a forbidden corner; at most ``MAX_SWITCHES`` are needed.
     """
     inst = m.instance
     s = inst.effective_star_center
@@ -371,7 +338,7 @@ def switch_repair(m: ChordMatrix, max_switches: int = 3) -> tuple[list[Switch], 
     work = m.copy()
     switches: list[Switch] = []
     while bads:
-        if len(switches) >= max_switches:
+        if len(switches) >= MAX_SWITCHES:
             raise AuditFailed("repair exceeded the switch budget")
         sw = _pick_switch(work, bads)
         _apply_switch(work, sw)
@@ -532,7 +499,7 @@ def verify_theta_omega(
             swaps_used = 1
         switches, repaired = switch_repair(base)
         constructive = mhat.hamming(adjacency_matrix(repaired))
-        if constructive > HAMMING_BOUND or len(switches) > 3:
+        if constructive > HAMMING_BOUND or len(switches) > MAX_SWITCHES:
             raise AuditFailed("constructive repair exceeded the audit bound")
         step.repair_switches = len(switches)
         step.repair_swaps = swaps_used

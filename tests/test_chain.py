@@ -252,15 +252,26 @@ def _assert_tries_match_moves(inst):
     and the one-step law it gives each legal move is exactly _move_probability.
 
     The 4-cycle tries are all ordered pairs of edge slots, the 6-cycle tries
-    all sorted U-triples with every index below kappa.
+    all sorted U-triples with every index below kappa.  The rule picks a
+    hexagon at indices 0, 1, ... for each permutation block of a U-triple, in
+    ascending order of the blocks, and at no other index.
     """
     theta4, theta6, kappa = chain.try_rates(inst)
     n_u, partners = inst.n_u, inst.forbidden_partners
     utriples = list(combinations(range(n_u), 3))
-    hexagons = {t: chain._hexagons(inst, t) for t in utriples}
+    grid = [(t, i) for t in utriples for i in range(kappa)]
+    live, cells = chain._c6_cells(
+        chain._partner_table(inst),
+        np.array([t for t, _ in grid], dtype=np.int64).reshape(-1, 3),
+        np.array([i for _, i in grid], dtype=np.int64),
+    )
+    hexagons = {t: [] for t in utriples}
+    for (t, i), hexagon in zip([g for g, on in zip(grid, live) if on], cells.tolist()):
+        assert i == len(hexagons[t])
+        hexagons[t].append(hexagon)
     for t in utriples:
-        picked = {tuple(sorted({c // n_u + n_u for c in h})) for h in hexagons[t]}
-        assert len(picked) == len(hexagons[t]) and picked == _permutation_blocks(inst, t)
+        picked = [tuple(sorted({c // n_u + n_u for c in h})) for h in hexagons[t]]
+        assert picked == sorted(_permutation_blocks(inst, t))
     assert kappa == max((len(h) for h in hexagons.values()), default=0)
     for state in enumerate_all(inst):
         edges = state.edges
@@ -453,15 +464,11 @@ def test_single_chain_end_states_match_pinned_digest():
 
 # SHA-256 of the end states of 50 chains of 400 steps (seeds 0-2) on instances
 # with kappa > 1, where the order of a U-triple's hexagons decides the trajectory.
-WALKER_INDEX_ORDER = [
-    ("WIDE_STAR", "464a96a58331ef9d58942c44f42abab535171fa5fb2641de61d479de9af034c1"),
-    ("MATCHED_CENTER", "d9cab4600e8fe79efffce0b50aefeccaa24d7918049a85997684425146ff9a7f"),
-]
-
-
-@pytest.mark.parametrize("name, expected", WALKER_INDEX_ORDER, ids=[n for n, _ in WALKER_INDEX_ORDER])
-def test_walker_index_order_matches_pinned_digest(name, expected):
-    inst = {"WIDE_STAR": WIDE_STAR, "MATCHED_CENTER": MATCHED_CENTER}[name]
+@pytest.mark.parametrize("inst, expected", [
+    (WIDE_STAR, "464a96a58331ef9d58942c44f42abab535171fa5fb2641de61d479de9af034c1"),
+    (MATCHED_CENTER, "d9cab4600e8fe79efffce0b50aefeccaa24d7918049a85997684425146ff9a7f"),
+], ids=["WIDE_STAR", "MATCHED_CENTER"])
+def test_walker_index_order_matches_pinned_digest(inst, expected):
     start = construct.greedy_construct(inst)
     digest = hashlib.sha256()
     for seed in (0, 1, 2):

@@ -316,19 +316,6 @@ def test_verify_all_f3_pairs(f3):
     assert worst <= paths.HAMMING_BOUND
 
 
-def test_path_report_serializes(f3):
-    states = enumerate_all(f3)
-    rep = paths.verify_theta_omega(states[0], states[-1], states)
-    blob = rep.to_json_dict()
-    assert blob["theta_ok"] and blob["omega_ok"]
-    assert len(blob["moves"]) == len(rep.steps)
-    assert all(mv["move"] in ("c4", "c6") for mv in blob["moves"])
-    assert all(cw["emitted_weight"] == cw["half_length"] - 1 for cw in blob["cycle_weights"])
-    import json
-
-    json.dumps(blob)  # fully JSON-serializable
-
-
 def test_verify_requires_half_regular():
     # off-center U-degrees 2 and 1 differ, so no center choice makes this half-regular
     inst = core.bipartite_instance([1, 2, 1], [2, 1, 1])
