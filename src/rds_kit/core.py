@@ -523,10 +523,14 @@ class ChordMatrix:
 
     instance: ProblemInstance
     values: np.ndarray
-    forbidden: np.ndarray
+
+    @property
+    def forbidden(self) -> np.ndarray:
+        """The instance's read-only ``forbidden_mask``."""
+        return self.instance.forbidden_mask
 
     def copy(self) -> "ChordMatrix":
-        return ChordMatrix(self.instance, self.values.copy(), self.forbidden)
+        return ChordMatrix(self.instance, self.values.copy())
 
     def column_sums(self) -> np.ndarray:
         return np.where(self.forbidden, 0, self.values).sum(axis=0)
@@ -538,17 +542,6 @@ class ChordMatrix:
         """Number of chord positions with different values."""
         diff = (self.values != other.values) & ~self.forbidden
         return int(diff.sum())
-
-    def __str__(self) -> str:
-        n_w, n_u = self.values.shape
-        lines = []
-        for j in reversed(range(n_w)):
-            cells = [
-                "✠" if self.forbidden[j, i] else str(int(self.values[j, i]))
-                for i in range(n_u)
-            ]
-            lines.append(" ".join(f"{c:>2}" for c in cells))
-        return "\n".join(lines)
 
 
 def _forbidden_mask(inst: ProblemInstance) -> np.ndarray:
@@ -586,4 +579,4 @@ def adjacency_matrix(real: Realization) -> ChordMatrix:
     The values are a writable copy of the cached ``real.matrix``; the mask is
     the instance's read-only ``forbidden_mask``.
     """
-    return ChordMatrix(real.instance, real.matrix.copy(), real.instance.forbidden_mask)
+    return ChordMatrix(real.instance, real.matrix.copy())

@@ -3,15 +3,19 @@
 A pair of realizations (X, Y) is joined by a deterministic path: the symmetric
 difference splits into an ordered list of alternating cycles, the cycles define
 milestone realizations, and each cycle is swept with 4-cycle and forbidden-
-matching 6-cycle chain moves.  Along the way the auxiliary matrix
-M_X + M_Y - M_Z is tracked; the audits check that it stays within one swap and
-at most three corner switches of a genuine realization matrix (Hamming
-distance at most 16), that bad entries stay confined to the sweep column, and
-that every cycle of length 2l costs exactly weight l-1.  Which moves are legal
-is decided by :mod:`rds_kit.chain`: the sweep builds each step with
-:func:`~rds_kit.chain.try_c4` or :func:`~rds_kit.chain.try_c6`, each step's
-state is checked again with :func:`~rds_kit.chain.classify_move`, and the
-repair's one-move detour walks :func:`~rds_kit.chain.legal_moves`.
+matching 6-cycle chain moves.  :func:`canonical_path` only builds that path,
+one :class:`PathStep` (move, toggled chords, state) per move.  Which moves are
+legal is decided by :mod:`rds_kit.chain`: the sweep builds each step with
+:func:`~rds_kit.chain.try_c4` or :func:`~rds_kit.chain.try_c6`, and each
+step's state is checked again with :func:`~rds_kit.chain.classify_move`.
+
+:func:`verify_theta_omega` audits a built path against a stack of all state
+matrices.  For each step it forms the auxiliary matrix M_X + M_Y - M_Z once
+and checks that it stays within one swap and at most three corner switches of
+a genuine realization matrix (Hamming distance at most 16) and that its bad
+entries stay confined to one column away from the star center; the repair's
+one-move detour walks :func:`~rds_kit.chain.legal_moves`.  Every cycle of
+length 2l must cost exactly weight l-1.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ MAX_SWITCHES = 3  # the most corner switches one repair may need
 
 def auxiliary_matrix(X: Realization, Y: Realization, Z: Realization) -> ChordMatrix:
     """Entrywise M_X + M_Y - M_Z over chord positions, from the cached matrices."""
-    values = X.matrix + Y.matrix - Z.matrix
-    return ChordMatrix(X.instance, values, X.instance.forbidden_mask)
+    return ChordMatrix(X.instance, X.matrix + Y.matrix - Z.matrix)
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ def _double_step(emit, inst: ProblemInstance, edges, u1, us, ws, j) -> None:
 
 
 def canonical_path(X: Realization, Y: Realization) -> "PathReport":
-    """The unique audited move sequence from X to Y."""
+    """The unique move sequence from X to Y; :func:`verify_theta_omega` audits it."""
     if X.instance != Y.instance:
         raise PreconditionViolated("realizations belong to different instances")
     if not X.instance.is_bipartite_like:
@@ -237,16 +240,7 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
             )
             if classify_move(cur, nxt) != kind:
                 raise AuditFailed("sweep emitted a move outside the chain's move set")
-            mhat = auxiliary_matrix(X, Y, nxt)
-            steps.append(
-                PathStep(
-                    move=kind,
-                    toggle=toggle,
-                    state=nxt,
-                    aux=mhat,
-                    bad=audit_bad_positions(mhat),
-                )
-            )
+            steps.append(PathStep(move=kind, toggle=toggle, state=nxt))
             cur = nxt
         cycle_weights.append((cyc.length // 2, sum(st.weight for st in steps[first:])))
     theta_ok = all(w == l - 1 for l, w in cycle_weights)
@@ -266,11 +260,7 @@ class PathStep:
     move: str
     toggle: tuple[Pair, ...]  # the chords the move flips
     state: Realization
-    aux: ChordMatrix  # M_X + M_Y - M_state
-    bad: BadPositionReport
-    hamming_nearest: int | None = None
-    repair_switches: int | None = None
-    repair_swaps: int | None = None
+    repair_switches: int | None = None  # set by verify_theta_omega
 
     @property
     def weight(self) -> int:
@@ -280,7 +270,7 @@ class PathStep:
 
 @dataclass
 class PathReport:
-    """Canonical path between two realizations plus per-step audits."""
+    """Canonical path between two realizations; the audit fills the last two fields."""
 
     source: Realization
     target: Realization
@@ -432,62 +422,45 @@ def state_stack(states: list[Realization]) -> np.ndarray:
     return np.array([s.matrix.ravel() for s in states], dtype=np.int8)
 
 
-def verify_theta_omega(
-    X: Realization,
-    Y: Realization,
-    states: list[Realization] | None = None,
-    *,
-    stack: np.ndarray | None = None,
-) -> PathReport:
+def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> PathReport:
     """Audit one canonical path against the sweep-cost and auxiliary-matrix bounds.
 
-    Checks, for every intermediate state Z: the auxiliary matrix has the
-    margins of a realization matrix; it lies within Hamming distance 16 of
-    some realization matrix, found both by exhaustive nearest search and
-    constructively via one chain move plus at most three switches; and the
-    bad-entry pattern sits within one move of the confined-column shape.
-    Raises AuditFailed on any violation.  The nearest search runs over
-    ``stack`` (see :func:`state_stack`) when given, else over ``states``,
-    else over every enumerated realization.
+    Builds the path with :func:`canonical_path`, then checks, for every
+    intermediate state Z, the auxiliary matrix M_X + M_Y - M_Z: it has the
+    instance's degree sequences as margins; it lies within Hamming distance 16
+    of some realization matrix, found both by exhaustive nearest search over
+    ``stack`` (the state matrices, see :func:`state_stack`) and constructively
+    via at most one chain move plus at most three switches; and its bad-entry
+    pattern sits within one move of the confined-column shape.  Raises
+    AuditFailed on any violation.
     """
     inst = X.instance
     if not inst.is_bipartite_like:
         raise PreconditionViolated("audits are defined for bipartite kinds")
     if not inst.half_regular:
         raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
-    if stack is None:
-        if states is None:
-            from .oracle import enumerate_all
-
-            states = enumerate_all(inst)
-        stack = state_stack(states)
     report = canonical_path(X, Y)
     chord_positions = ~inst.forbidden_mask.ravel()
-    mx = adjacency_matrix(X)
-    col_target = mx.column_sums()
-    row_target = mx.row_sums()
 
     max_h = 0
     for step in report.steps:
-        mhat = step.aux
-        sums_ok = np.array_equal(mhat.column_sums(), col_target) and np.array_equal(
-            mhat.row_sums(), row_target
+        mhat = auxiliary_matrix(X, Y, step.state)
+        sums_ok = np.array_equal(mhat.column_sums(), inst.u_degrees) and np.array_equal(
+            mhat.row_sums(), inst.w_degrees
         )
         if not sums_ok:
             raise AuditFailed("auxiliary matrix margins drifted")
         flat = mhat.values.ravel()
         dists = ((stack != flat) & chord_positions).sum(axis=1)
         h = int(dists.min())
-        step.hamming_nearest = h
         max_h = max(max_h, h)
         if h > HAMMING_BOUND:
             raise AuditFailed(
                 f"auxiliary matrix is {h} positions from the nearest realization"
             )
         # constructive route: at most one move away from the repairable pattern
-        if step.bad.within_lemma_pattern:
-            swaps_used, base = 0, mhat
-        else:
+        base = mhat
+        if not audit_bad_positions(mhat).within_lemma_pattern:
             edges = step.state.edges
             for _, toggle in legal_moves(inst, edges):
                 nb = realization_from_global_edges(inst, edges.symmetric_difference(toggle))
@@ -496,13 +469,11 @@ def verify_theta_omega(
                     break
             else:
                 raise AuditFailed("no single move reaches the repairable pattern")
-            swaps_used = 1
         switches, repaired = switch_repair(base)
         constructive = mhat.hamming(adjacency_matrix(repaired))
         if constructive > HAMMING_BOUND or len(switches) > MAX_SWITCHES:
             raise AuditFailed("constructive repair exceeded the audit bound")
         step.repair_switches = len(switches)
-        step.repair_swaps = swaps_used
     if not report.theta_ok:
         raise AuditFailed("a cycle sweep emitted the wrong total weight")
     report.omega_ok = True

@@ -275,11 +275,12 @@ def test_criterion_5_canonical_path_audit():
 
     def audit_instance(inst, states):
         nonlocal pairs, max_h
+        stack = paths.state_stack(states)
         for X in states:
             for Y in states:
                 if X.key == Y.key:
                     continue
-                rep = paths.verify_theta_omega(X, Y, states)
+                rep = paths.verify_theta_omega(X, Y, stack)
                 pairs += 1
                 max_h = max(max_h, rep.max_hamming)
                 for step in rep.steps:

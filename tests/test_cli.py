@@ -157,6 +157,23 @@ def test_audit_paths_verbose_matches_golden(capsys, roadmap_4x4_path):
     assert capsys.readouterr().out == golden
 
 
+def test_audit_paths_plain_report_on_half_regular_5(capsys, half_regular_5_path):
+    """The 32-state instance of the audit-paths benchmark; pins its max_hamming."""
+    code, payload = run(capsys, ["audit-paths", half_regular_5_path])
+    assert code == 0
+    assert payload == {
+        "all_ok": True,
+        "command": "audit-paths",
+        "config": {"max_states": 256},
+        "hamming_bound": 16,
+        "max_hamming": 4,
+        "ordered_pairs": 992,
+        "pairs": None,
+        "schema": "rds-kit/1",
+        "states": 32,
+    }
+
+
 # SHA-256 of `rds-kit audit-paths --verbose` on u = w = [3]*5, star u0 -> {w1},
 # matching (i, i) for i = 1..4, as reported before the sweep built its moves
 # with try_c4/try_c6 (1,515,991 bytes, too large to commit as a golden file).

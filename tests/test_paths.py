@@ -125,7 +125,8 @@ def test_canonical_path_f2(f2, f2_reals):
     rep = paths.canonical_path(ra, rb)
     assert len(rep.steps) == 1
     assert rep.steps[0].move == "c6"
-    assert rep.steps[0].bad.within_lemma_pattern
+    m = paths.auxiliary_matrix(ra, rb, rep.steps[0].state)
+    assert paths.audit_bad_positions(m).within_lemma_pattern
 
 
 def test_canonical_path_steps_are_kernel_moves(f3):
@@ -145,6 +146,7 @@ def test_canonical_path_steps_are_kernel_moves(f3):
 def test_canonical_path_kinds_and_audit_property(inst, data):
     """On drawn pairs each step is the chain move the sweep named, and the audit passes."""
     states = enumerate_all(inst)
+    stack = paths.state_stack(states)
     index = st.integers(0, len(states) - 1)
     for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8)):
         X, Y = states[i], states[j]
@@ -155,7 +157,7 @@ def test_canonical_path_kinds_and_audit_property(inst, data):
             for k, cyc in enumerate(cycles)
             for kind, _ in paths.sweep_cycle(miles[k], miles[k + 1], cyc)
         ]
-        rep = paths.verify_theta_omega(X, Y, states)
+        rep = paths.verify_theta_omega(X, Y, stack)
         classified, cur = [], X
         for step in rep.steps:
             classified.append(chain.classify_move(cur, step.state))
@@ -268,7 +270,7 @@ def test_switch_repair_case3_needs_three_switches():
         ],
         dtype=np.int8,
     )
-    m = core.ChordMatrix(inst, values, core._forbidden_mask(inst))
+    m = core.ChordMatrix(inst, values)
     assert list(m.column_sums()) == [2, 3, 3, 3, 3]
     switches, real = paths.switch_repair(m)
     assert len(switches) == 3
@@ -300,18 +302,19 @@ def test_switch_changes_exactly_four_positions(f3):
 
 def test_verify_f2_pair(f2, f2_reals):
     ra, rb = f2_reals
-    rep = paths.verify_theta_omega(ra, rb)
+    rep = paths.verify_theta_omega(ra, rb, paths.state_stack(enumerate_all(f2)))
     assert rep.omega_ok and rep.theta_ok and rep.max_hamming == 0
 
 
 def test_verify_all_f3_pairs(f3):
     states = enumerate_all(f3)
+    stack = paths.state_stack(states)
     worst = 0
     for X in states:
         for Y in states:
             if X.key == Y.key:
                 continue
-            rep = paths.verify_theta_omega(X, Y, states)
+            rep = paths.verify_theta_omega(X, Y, stack)
             worst = max(worst, rep.max_hamming)
     assert worst <= paths.HAMMING_BOUND
 
@@ -323,7 +326,7 @@ def test_verify_requires_half_regular():
     states = enumerate_all(inst)
     assert len(states) >= 2
     with pytest.raises(PreconditionViolated):
-        paths.verify_theta_omega(states[0], states[1], states)
+        paths.verify_theta_omega(states[0], states[1], paths.state_stack(states))
 
 
 # -- per-audit caches ---------------------------------------------------------------
