@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -371,3 +372,41 @@ def test_audit_paths_builds_per_state_data_once(capsys, half_regular_5_path, mon
     assert len(masks) == 1
     assert len(matrices) == 32 and max(matrices.values()) == 1
     assert validations == {"before": 0, "during": 32, "after": 0}
+
+
+# -- pinned audit outcomes ------------------------------------------------------------
+
+
+def _half_regular(n, d):
+    """u = w = [d]*n, star u0 -> {w1}, matching (i, i) for i = 1..n-1."""
+    return core.bipartite_instance(
+        [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
+    )
+
+
+def _audit_digest(inst):
+    """sha256 over every ordered pair's step count, max_hamming and repair_switches."""
+    states = enumerate_all(inst)
+    stack = paths.state_stack(states)
+    outcomes = []
+    for X in states:
+        for Y in states:
+            if X.key == Y.key:
+                continue
+            rep = paths.verify_theta_omega(X, Y, stack)
+            outcomes.append(
+                [len(rep.steps), rep.max_hamming, [step.repair_switches for step in rep.steps]]
+            )
+    return len(states), hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, d, n_states, digest",
+    [
+        (4, 2, 7, "8576bb545b918604c98f3ebe8cde09d52d604e893a66295ab2ed2d99de06fef1"),
+        (5, 3, 32, "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943"),
+    ],
+)
+def test_audit_outcomes_match_pinned_digest(n, d, n_states, digest):
+    """Every ordered pair's audit outcome, step by step, is pinned."""
+    assert _audit_digest(_half_regular(n, d)) == (n_states, digest)
