@@ -9,13 +9,16 @@ legal is decided by :mod:`rds_kit.chain`: the sweep builds each step with
 :func:`~rds_kit.chain.try_c4` or :func:`~rds_kit.chain.try_c6`, and each
 step's state is checked again with :func:`~rds_kit.chain.classify_move`.
 
-:func:`verify_theta_omega` audits a built path against a stack of all state
-matrices.  For each step it forms the auxiliary matrix M_X + M_Y - M_Z once
-and checks that it stays within one swap and at most three corner switches of
-a genuine realization matrix (Hamming distance at most 16) and that its bad
-entries stay confined to one column away from the star center; the repair's
-one-move detour walks :func:`~rds_kit.chain.legal_moves`.  Every cycle of
-length 2l must cost exactly weight l-1.
+:func:`verify_theta_omega` audits a built path against a stack of state
+matrices, which must hold every state.  A step Z with X & Y <= Z <= X | Y
+has an auxiliary matrix M_X + M_Y - M_Z with no 2 or -1 entry: it is the
+realization X ^ Y ^ Z, which is validated from its edges.  For every other
+step the audit forms the auxiliary matrix once and checks that it stays within
+one swap and at most three corner switches of a genuine realization matrix
+(Hamming distance at most 16) and that its bad entries stay confined to one
+column away from the star center; the repair's one-move detour walks
+:func:`~rds_kit.chain.legal_moves`.  Every cycle of length 2l must cost
+exactly weight l-1.
 """
 
 from __future__ import annotations
@@ -426,13 +429,17 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
     """Audit one canonical path against the sweep-cost and auxiliary-matrix bounds.
 
     Builds the path with :func:`canonical_path`, then checks, for every
-    intermediate state Z, the auxiliary matrix M_X + M_Y - M_Z: it has the
-    instance's degree sequences as margins; it lies within Hamming distance 16
-    of some realization matrix, found both by exhaustive nearest search over
-    ``stack`` (the state matrices, see :func:`state_stack`) and constructively
-    via at most one chain move plus at most three switches; and its bad-entry
-    pattern sits within one move of the confined-column shape.  Raises
-    AuditFailed on any violation.
+    intermediate state Z, the auxiliary matrix M_X + M_Y - M_Z.  A 2 lies
+    where a chord is in X and Y but not in Z, a -1 where it is in Z but in
+    neither X nor Y, so when X & Y <= Z <= X | Y the matrix is that of the
+    edge set X ^ Y ^ Z: that set is validated as a realization, and the step
+    counts as distance 0 with no switches.  Any other step's matrix is checked
+    in full: it has the instance's degree sequences as margins; it lies within
+    Hamming distance 16 of some realization matrix, found both by exhaustive
+    nearest search over ``stack`` (the matrices of every state, see
+    :func:`state_stack`) and constructively via at most one chain move plus
+    at most three switches; and its bad-entry pattern sits within one move of
+    the confined-column shape.  Raises AuditFailed on any violation.
     """
     inst = X.instance
     if not inst.is_bipartite_like:
@@ -443,7 +450,14 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
     chord_positions = ~inst.forbidden_mask.ravel()
 
     max_h = 0
+    both, either, differ = X.edges & Y.edges, X.edges | Y.edges, X.edges ^ Y.edges
     for step in report.steps:
+        Z = step.state.edges
+        if both <= Z <= either:
+            # no 2 or -1 entry: M_X + M_Y - M_Z is the realization X ^ Y ^ Z
+            realization_from_global_edges(inst, differ ^ Z)
+            step.repair_switches = 0
+            continue
         mhat = auxiliary_matrix(X, Y, step.state)
         sums_ok = np.array_equal(mhat.column_sums(), inst.u_degrees) and np.array_equal(
             mhat.row_sums(), inst.w_degrees

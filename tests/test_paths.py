@@ -202,6 +202,57 @@ def test_aux_matrix_row_column_sums_invariant(f3):
     assert set(np.unique(m.values)) <= {-1, 0, 1, 2}
 
 
+def _half_regular(n, d):
+    """u = w = [d]*n, star u0 -> {w1}, matching (i, i) for i = 1..n-1."""
+    return core.bipartite_instance(
+        [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
+    )
+
+
+def _assert_bad_free_iff_between(X, Y, Z):
+    """M_X + M_Y - M_Z has no 2 or -1 on a chord iff X & Y <= Z <= X | Y,
+    and is then the matrix of the realization X ^ Y ^ Z."""
+    m = paths.auxiliary_matrix(X, Y, Z)
+    bad_free = not paths.bad_positions(m)
+    assert bad_free == (X.edges & Y.edges <= Z.edges <= X.edges | Y.edges)
+    if bad_free:
+        real = core.realization_from_global_edges(X.instance, X.edges ^ Y.edges ^ Z.edges)
+        assert np.array_equal(m.values, real.matrix)
+    return bad_free
+
+
+@pytest.mark.parametrize("instance", ["half_regular_4_2", "roadmap_4x4"])
+def test_bad_free_iff_between_on_every_triple(instance, roadmap_4x4):
+    inst = _half_regular(4, 2) if instance == "half_regular_4_2" else roadmap_4x4
+    states = enumerate_all(inst)
+    kinds = Counter(
+        _assert_bad_free_iff_between(X, Y, Z) for X in states for Y in states for Z in states
+    )
+    assert kinds[True] and kinds[False]
+
+
+def test_bad_free_iff_between_on_half_regular_5_path_steps():
+    states = enumerate_all(_half_regular(5, 3))
+    kinds = Counter(
+        _assert_bad_free_iff_between(X, Y, step.state)
+        for X in states
+        for Y in states
+        for step in paths.canonical_path(X, Y).steps
+    )
+    assert kinds == {True: 1376, False: 752}
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_regular_instances(), st.data())
+def test_bad_free_iff_between_on_drawn_path_steps(inst, data):
+    states = enumerate_all(inst)
+    index = st.integers(0, len(states) - 1)
+    for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8)):
+        X, Y = states[i], states[j]
+        for step in paths.canonical_path(X, Y).steps:
+            _assert_bad_free_iff_between(X, Y, step.state)
+
+
 # -- switch repair -------------------------------------------------------------
 
 
@@ -375,13 +426,6 @@ def test_audit_paths_builds_per_state_data_once(capsys, half_regular_5_path, mon
 
 
 # -- pinned audit outcomes ------------------------------------------------------------
-
-
-def _half_regular(n, d):
-    """u = w = [d]*n, star u0 -> {w1}, matching (i, i) for i = 1..n-1."""
-    return core.bipartite_instance(
-        [d] * n, [d] * n, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, n)]
-    )
 
 
 def _audit_digest(inst):
