@@ -6,7 +6,6 @@ guarantee, and count realizations exactly or by sampling.
 """
 
 from .core import (
-    ChordMatrix,
     ProblemInstance,
     Realization,
     adjacency_matrix,

@@ -5,6 +5,9 @@ U class first (global id ``i`` for U-index ``i``) and the W class after it
 (global id ``n_u + j`` for W-index ``j``), so every cross pair (u, w) is already
 normalized with u < w.  General instances use a single class 0..n-1.  All JSON
 interfaces speak class-local indices; the conversion happens here.
+
+Matrices exist for bipartite kinds only, as plain W x U numpy arrays (row j is
+w_j, column i is u_i); the int8 ones hold 0 at every forbidden pair.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     NotAChord,
     NotDirectedKind,
     OverlappingMatching,
+    PreconditionViolated,
     StarCenterOutOfRange,
     SumMismatch,
     UnsupportedDirectedVariant,
@@ -133,7 +137,7 @@ class ProblemInstance:
 
     @cached_property
     def forbidden_mask(self) -> np.ndarray:
-        """Read-only mask of the positions a :class:`ChordMatrix` never holds."""
+        """Read-only W x U mask of the forbidden pairs, for bipartite kinds."""
         mask = _forbidden_mask(self)
         mask.setflags(write=False)
         return mask
@@ -219,7 +223,7 @@ class Realization:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Read-only 0/1 values of :func:`adjacency_matrix`, built once."""
+        """Read-only W x U 0/1 matrix, built once; :func:`adjacency_matrix` copies it."""
         values = _matrix_values(self)
         values.setflags(write=False)
         return values
@@ -510,73 +514,27 @@ def instance_to_json(inst: ProblemInstance) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChordMatrix:
-    """Dense chord-position matrix.
-
-    For bipartite kinds rows are W-vertices (bottom row = w_0) and columns are
-    U-vertices, so column sums are U-degrees and row sums are W-degrees; for
-    general instances the matrix is the symmetric n-by-n adjacency view.
-    Forbidden positions are masked off and excluded from sums and Hamming
-    distances.  A realization view holds 0/1; audit arithmetic may hold -1..2.
-    """
-
-    instance: ProblemInstance
-    values: np.ndarray
-
-    @property
-    def forbidden(self) -> np.ndarray:
-        """The instance's read-only ``forbidden_mask``."""
-        return self.instance.forbidden_mask
-
-    def copy(self) -> "ChordMatrix":
-        return ChordMatrix(self.instance, self.values.copy())
-
-    def column_sums(self) -> np.ndarray:
-        return np.where(self.forbidden, 0, self.values).sum(axis=0)
-
-    def row_sums(self) -> np.ndarray:
-        return np.where(self.forbidden, 0, self.values).sum(axis=1)
-
-    def hamming(self, other: "ChordMatrix") -> int:
-        """Number of chord positions with different values."""
-        diff = (self.values != other.values) & ~self.forbidden
-        return int(diff.sum())
-
-
 def _forbidden_mask(inst: ProblemInstance) -> np.ndarray:
+    if not inst.is_bipartite_like:
+        raise PreconditionViolated("matrices are defined for bipartite kinds")
     partners = inst.forbidden_partners
-    if inst.is_bipartite_like:
-        mask = np.zeros((inst.n_w, inst.n_u), dtype=bool)
-        for u in range(inst.n_u):
-            for w in partners[u]:
-                mask[w - inst.n_u, u] = True
-    else:
-        mask = np.eye(inst.n_vertices, dtype=bool)
-        for a, bs in enumerate(partners):
-            for b in bs:
-                mask[a, b] = True
+    mask = np.zeros((inst.n_w, inst.n_u), dtype=bool)
+    for u in range(inst.n_u):
+        for w in partners[u]:
+            mask[w - inst.n_u, u] = True
     return mask
 
 
 def _matrix_values(real: Realization) -> np.ndarray:
     inst = real.instance
-    if inst.is_bipartite_like:
-        values = np.zeros((inst.n_w, inst.n_u), dtype=np.int8)
-        for u, w in real.edges:
-            values[w - inst.n_u, u] = 1
-    else:
-        n = inst.n_vertices
-        values = np.zeros((n, n), dtype=np.int8)
-        for a, b in real.edges:
-            values[a, b] = values[b, a] = 1
+    if not inst.is_bipartite_like:
+        raise PreconditionViolated("matrices are defined for bipartite kinds")
+    values = np.zeros((inst.n_w, inst.n_u), dtype=np.int8)
+    for u, w in real.edges:
+        values[w - inst.n_u, u] = 1
     return values
 
 
-def adjacency_matrix(real: Realization) -> ChordMatrix:
-    """0/1 matrix of a realization with forbidden positions marked.
-
-    The values are a writable copy of the cached ``real.matrix``; the mask is
-    the instance's read-only ``forbidden_mask``.
-    """
-    return ChordMatrix(real.instance, real.matrix.copy())
+def adjacency_matrix(real: Realization) -> np.ndarray:
+    """Writable W x U 0/1 matrix of a realization, a copy of the cached ``real.matrix``."""
+    return real.matrix.copy()

@@ -201,18 +201,15 @@ def approx_count(
         half_regular=inst.half_regular,
         config=config,
     )
-    start = greedy_construct(inst)  # the greedy realization of `work`, or None if not built yet
+    work = retire_exhausted_centers(inst)
+    start = greedy_construct(work)  # always the greedy realization of `work`
     if start is None:
         report.graphical = False
         return report
 
     seed_seq = np.random.SeedSequence(seed)
     estimate = 1.0
-    work = inst
     while True:
-        retired = retire_exhausted_centers(work)
-        if retired is not work:
-            work, start = retired, None
         try:
             (s, v), absent, present = branch_split(work)
         except Exhausted:
@@ -221,6 +218,8 @@ def approx_count(
                 estimate = 0.0
             break
         chord = (s, v - work.n_u)
+        if present is not None:
+            present = retire_exhausted_centers(present)  # the absent child never needs it
         absent_start = greedy_construct(absent)
         present_start = None if present is None else greedy_construct(present)
         absent_ok = absent_start is not None
@@ -234,8 +233,6 @@ def approx_count(
             )
             continue
         rng = np.random.Generator(np.random.Philox(seed_seq.spawn(1)[0]))
-        if start is None:
-            start = greedy_construct(work)
         level_burn = default_burn_in(work) if burn_in is None else burn_in
         hits = 0
         total = 0

@@ -19,6 +19,10 @@ one swap and at most three corner switches of a genuine realization matrix
 column away from the star center; the repair's one-move detour walks
 :func:`~rds_kit.chain.legal_moves`.  Every cycle of length 2l must cost
 exactly weight l-1.
+
+Matrices exist for bipartite kinds only, as plain W x U int8 arrays like
+:attr:`Realization.matrix`, with 0 at every forbidden pair; the repair, which
+must refuse a forbidden corner, reads ``inst.forbidden_mask``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import numpy as np
 
 from .chain import classify_move, legal_moves, try_c4, try_c6
 from .core import (
-    ChordMatrix,
     Pair,
     ProblemInstance,
     Realization,
@@ -48,9 +51,9 @@ MAX_SWITCHES = 3  # the most corner switches one repair may need
 # ---------------------------------------------------------------------------
 
 
-def auxiliary_matrix(X: Realization, Y: Realization, Z: Realization) -> ChordMatrix:
-    """Entrywise M_X + M_Y - M_Z over chord positions, from the cached matrices."""
-    return ChordMatrix(X.instance, X.matrix + Y.matrix - Z.matrix)
+def auxiliary_matrix(X: Realization, Y: Realization, Z: Realization) -> np.ndarray:
+    """Entrywise M_X + M_Y - M_Z, from the cached matrices; 0 at forbidden pairs."""
+    return X.matrix + Y.matrix - Z.matrix
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,16 @@ class BadPositionReport:
         )
 
 
-def bad_positions(m: ChordMatrix) -> list[tuple[int, int, int]]:
+def bad_positions(m: np.ndarray) -> list[tuple[int, int, int]]:
     """(u, w_global, value) for every entry equal to -1 or 2."""
-    inst = m.instance
-    out = []
-    rows, cols = np.nonzero(((m.values == 2) | (m.values == -1)) & ~m.forbidden)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out.append((c, inst.n_u + r, int(m.values[r, c])))
-    return sorted(out)
+    n_u = m.shape[1]
+    rows, cols = np.nonzero((m == 2) | (m == -1))
+    return sorted((c, n_u + r, int(m[r, c])) for r, c in zip(rows.tolist(), cols.tolist()))
 
 
-def audit_bad_positions(m: ChordMatrix) -> BadPositionReport:
+def audit_bad_positions(inst: ProblemInstance, m: np.ndarray) -> BadPositionReport:
     """Counts of 2 and -1 entries plus their column pattern."""
-    return _pattern(m.instance, bad_positions(m))
+    return _pattern(inst, bad_positions(m))
 
 
 def _pattern(inst: ProblemInstance, bads: list[tuple[int, int, int]]) -> BadPositionReport:
@@ -293,24 +293,23 @@ class PathReport:
 Switch = tuple[Pair, Pair]  # ((u_a, w_a), (u_b, w_b)): +1 there, -1 on the cross corners
 
 
-def _apply_switch(m: ChordMatrix, sw: Switch) -> None:
+def _apply_switch(inst: ProblemInstance, m: np.ndarray, sw: Switch) -> None:
     (ua, wa), (ub, wb) = sw
-    n_u = m.instance.n_u
-    ra, rb = wa - n_u, wb - n_u
+    ra, rb = wa - inst.n_u, wb - inst.n_u
     for r, c, d in ((ra, ua, 1), (rb, ub, 1), (ra, ub, -1), (rb, ua, -1)):
-        if m.forbidden[r, c]:
+        if inst.forbidden_mask[r, c]:
             raise AuditFailed("switch touches a forbidden corner")
-        m.values[r, c] += d
+        m[r, c] += d
 
 
-def _value(m: ChordMatrix, u: int, w: int) -> int | None:
-    r = w - m.instance.n_u
-    if m.forbidden[r, u]:
+def _value(inst: ProblemInstance, m: np.ndarray, u: int, w: int) -> int | None:
+    r = w - inst.n_u
+    if inst.forbidden_mask[r, u]:
         return None
-    return int(m.values[r, u])
+    return int(m[r, u])
 
 
-def switch_repair(m: ChordMatrix) -> tuple[list[Switch], Realization]:
+def switch_repair(inst: ProblemInstance, m: np.ndarray) -> tuple[list[Switch], Realization]:
     """Corner switches turning an audit matrix into a realization matrix.
 
     Requires constant column sums away from the star center and at most two
@@ -318,9 +317,8 @@ def switch_repair(m: ChordMatrix) -> tuple[list[Switch], Realization]:
     1 on one diagonal of a 2x2 submatrix and subtracts 1 on the other, never
     touching a forbidden corner; at most ``MAX_SWITCHES`` are needed.
     """
-    inst = m.instance
     s = inst.effective_star_center
-    sums = m.column_sums()
+    sums = m.sum(axis=0)
     off_center = [int(sums[u]) for u in range(inst.n_u) if u != s]
     if len(set(off_center)) > 1:
         raise PreconditionViolated("column sums differ away from the star center")
@@ -333,20 +331,20 @@ def switch_repair(m: ChordMatrix) -> tuple[list[Switch], Realization]:
     while bads:
         if len(switches) >= MAX_SWITCHES:
             raise AuditFailed("repair exceeded the switch budget")
-        sw = _pick_switch(work, bads)
-        _apply_switch(work, sw)
+        sw = _pick_switch(inst, work, bads)
+        _apply_switch(inst, work, sw)
         switches.append(sw)
         bads = bad_positions(work)
-    chords = ~work.forbidden
-    if (chords & (work.values != 0) & (work.values != 1)).any():
+    if ((work != 0) & (work != 1)).any():
         raise AuditFailed("repair left a non-binary entry")
-    rows, cols = np.nonzero(chords & (work.values == 1))
+    rows, cols = np.nonzero(work == 1)
     edges = {(u, inst.n_u + r) for r, u in zip(rows.tolist(), cols.tolist())}
     return switches, realization_from_global_edges(inst, edges)
 
 
-def _pick_switch(m: ChordMatrix, bads: list[tuple[int, int, int]]) -> Switch:
-    inst = m.instance
+def _pick_switch(
+    inst: ProblemInstance, m: np.ndarray, bads: list[tuple[int, int, int]]
+) -> Switch:
     twos = [(u, w) for u, w, v in bads if v == 2]
     negs = [(u, w) for u, w, v in bads if v == -1]
     u_ids = range(inst.n_u)
@@ -363,7 +361,7 @@ def _pick_switch(m: ChordMatrix, bads: list[tuple[int, int, int]]) -> Switch:
             for u1 in u_ids:
                 if u1 == u:
                     continue
-                if _value(m, u1, w_two) == 0 and _value(m, u1, w3) == 1:
+                if _value(inst, m, u1, w_two) == 0 and _value(inst, m, u1, w3) == 1:
                     return ((u, w3), (u1, w_two))
         if len(twos) == 1:
             # degrade gently: push the surplus into a fresh column
@@ -371,46 +369,46 @@ def _pick_switch(m: ChordMatrix, bads: list[tuple[int, int, int]]) -> Switch:
             for u1 in u_ids:
                 if u1 == u:
                     continue
-                if _value(m, u1, w3) == 1 and _value(m, u1, w_two) is not None:
+                if _value(inst, m, u1, w3) == 1 and _value(inst, m, u1, w_two) is not None:
                     return ((u, w3), (u1, w_two))
             for u1 in u_ids:
                 if u1 == u:
                     continue
-                if _value(m, u1, w_two) == 0 and _value(m, u1, w3) == 0:
+                if _value(inst, m, u1, w_two) == 0 and _value(inst, m, u1, w3) == 0:
                     return ((u, w3), (u1, w_two))
         else:
             # two 2-values: retire one of them without touching the -1
             for _, w_two in twos:
                 for u1 in u_ids:
-                    if u1 == u or _value(m, u1, w_two) != 0:
+                    if u1 == u or _value(inst, m, u1, w_two) != 0:
                         continue
                     for w4 in w_ids:
                         if w4 in (w_two, w3):
                             continue
-                        if _value(m, u1, w4) == 1 and _value(m, u, w4) == 0:
+                        if _value(inst, m, u1, w4) == 1 and _value(inst, m, u, w4) == 0:
                             return ((u, w4), (u1, w_two))
         raise AuditFailed("no switch candidate for the 2/-1 pattern")
 
     if negs:
         u, w = negs[0]
         for u1 in u_ids:
-            if u1 == u or _value(m, u1, w) != 1:
+            if u1 == u or _value(inst, m, u1, w) != 1:
                 continue
             for w1 in w_ids:
                 if w1 == w:
                     continue
-                if _value(m, u, w1) == 1 and _value(m, u1, w1) == 0:
+                if _value(inst, m, u, w1) == 1 and _value(inst, m, u1, w1) == 0:
                     return ((u, w), (u1, w1))
         raise AuditFailed("no switch candidate for a -1 entry")
 
     u, w = twos[0]
     for u1 in u_ids:
-        if u1 == u or _value(m, u1, w) != 0:
+        if u1 == u or _value(inst, m, u1, w) != 0:
             continue
         for w1 in w_ids:
             if w1 == w:
                 continue
-            if _value(m, u, w1) == 0 and _value(m, u1, w1) == 1:
+            if _value(inst, m, u, w1) == 0 and _value(inst, m, u1, w1) == 1:
                 return ((u, w1), (u1, w))
     raise AuditFailed("no switch candidate for a 2 entry")
 
@@ -447,7 +445,6 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
     if not inst.half_regular:
         raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
     report = canonical_path(X, Y)
-    chord_positions = ~inst.forbidden_mask.ravel()
 
     max_h = 0
     both, either, differ = X.edges & Y.edges, X.edges | Y.edges, X.edges ^ Y.edges
@@ -459,14 +456,10 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
             step.repair_switches = 0
             continue
         mhat = auxiliary_matrix(X, Y, step.state)
-        sums_ok = np.array_equal(mhat.column_sums(), inst.u_degrees) and np.array_equal(
-            mhat.row_sums(), inst.w_degrees
-        )
-        if not sums_ok:
+        columns, rows = mhat.sum(axis=0), mhat.sum(axis=1)
+        if not (np.array_equal(columns, inst.u_degrees) and np.array_equal(rows, inst.w_degrees)):
             raise AuditFailed("auxiliary matrix margins drifted")
-        flat = mhat.values.ravel()
-        dists = ((stack != flat) & chord_positions).sum(axis=1)
-        h = int(dists.min())
+        h = int((stack != mhat.ravel()).sum(axis=1).min())
         max_h = max(max_h, h)
         if h > HAMMING_BOUND:
             raise AuditFailed(
@@ -474,17 +467,17 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
             )
         # constructive route: at most one move away from the repairable pattern
         base = mhat
-        if not audit_bad_positions(mhat).within_lemma_pattern:
+        if not audit_bad_positions(inst, mhat).within_lemma_pattern:
             edges = step.state.edges
             for _, toggle in legal_moves(inst, edges):
                 nb = realization_from_global_edges(inst, edges.symmetric_difference(toggle))
                 base = auxiliary_matrix(X, Y, nb)
-                if audit_bad_positions(base).within_lemma_pattern:
+                if audit_bad_positions(inst, base).within_lemma_pattern:
                     break
             else:
                 raise AuditFailed("no single move reaches the repairable pattern")
-        switches, repaired = switch_repair(base)
-        constructive = mhat.hamming(adjacency_matrix(repaired))
+        switches, repaired = switch_repair(inst, base)
+        constructive = int((mhat != adjacency_matrix(repaired)).sum())
         if constructive > HAMMING_BOUND or len(switches) > MAX_SWITCHES:
             raise AuditFailed("constructive repair exceeded the audit bound")
         step.repair_switches = len(switches)

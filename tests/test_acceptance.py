@@ -325,20 +325,20 @@ def test_criterion_6_switch_repair():
                 rep = paths.canonical_path(X, Y)
                 for step in rep.steps:
                     m = paths.auxiliary_matrix(X, Y, step.state)
-                    if not paths.audit_bad_positions(m).within_lemma_pattern:
+                    if not paths.audit_bad_positions(inst, m).within_lemma_pattern:
                         continue
                     if not paths.bad_positions(m):
                         continue
-                    switches, real = paths.switch_repair(m)
+                    switches, real = paths.switch_repair(inst, m)
                     exercised += 1
                     max_switches = max(max_switches, len(switches))
                     work = m.copy()
                     for sw in switches:
                         prev = work.copy()
-                        paths._apply_switch(work, sw)
-                        if prev.hamming(work) != 4:
+                        paths._apply_switch(inst, work, sw)
+                        if (prev != work).sum() != 4:
                             hamming_ok = False
-                    if work.hamming(core.adjacency_matrix(real)) != 0:
+                    if (work != core.adjacency_matrix(real)).sum() != 0:
                         hamming_ok = False
     elapsed = time.perf_counter() - t0
     ok = exercised > 50 and max_switches <= 3 and hamming_ok

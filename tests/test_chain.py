@@ -89,6 +89,12 @@ def test_run_chain_zero_steps(f2, f2_reals):
     assert chain.run_chain(f2, ra, 0, seed=3)[0].key == ra.key
 
 
+def test_run_chain_refuses_a_start_of_another_instance(f3, f2_reals):
+    ra, _ = f2_reals
+    with pytest.raises(PreconditionViolated, match="different instance"):
+        chain.run_chain(f3, ra, 10, seed=0)
+
+
 def test_run_chain_deterministic(f3):
     start = enumerate_all(f3)[0]
     [a] = chain.run_chain(f3, start, 500, seed=42)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -451,6 +452,60 @@ def test_help_exits_zero_without_report(capsys):
 def test_format_flag_is_gone(capsys, f2_path):
     assert cli.main(["check", f2_path, "--format", "json"]) == 2
     assert "--format" in json.loads(capsys.readouterr().out)["message"]
+
+
+_F2_EDGES = [[0, 1], [1, 2], [2, 0]]
+_DIRECTED = {"kind": "directed", "out_degrees": [1, 1], "in_degrees": [1, 1]}
+
+
+def _invalid(message):
+    return {"error": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, expected",
+    [
+        (["check", "-"], None, 0, {"graphical": True}),
+        (["check", "MISSING"], None, 2, {"path": "MISSING"}),
+        (["distance", "F2", "--from", "[[0, 1]", "--to", "[]"], None, 2, {"error": "malformed JSON"}),
+        (["distance", "F2", "--from", "FILE", "--to", json.dumps(_F2_EDGES)],
+         {"edges": _F2_EDGES}, 0, {"weight": 0, "delta": 0}),
+        (["distance", "F2", "--from", "[[0, 1, 2]]", "--to", "[]"], None, 2,
+         {"error": "BadRealization"}),
+        (["construct", "F5"], None, 1, {"graphical": False}),
+        (["sample", "F5"], None, 1, {"graphical": False}),
+        (["bench", "F5", "--steps", "10"], None, 1, {"graphical": False}),
+        (["bench", "F2", "--steps", "10", "--max-states", "0"], None, 0, {"kernel_seconds": None}),
+        (["check", "FILE"], [1, 2], 2, _invalid("instance description must be a JSON object")),
+        (["check", "FILE"], {"kind": "hypergraph"}, 2, _invalid(
+            "kind must be one of ('bipartite', 'general', 'directed'), got 'hypergraph'"
+        )),
+        (["check", "FILE"], {"kind": "bipartite", "u_degrees": [1]}, 2,
+         _invalid("missing field 'w_degrees' for kind 'bipartite'")),
+        (["check", "FILE"], {"kind": "bipartite", "u_degrees": 5, "w_degrees": [1]}, 2,
+         _invalid("malformed instance field: 'int' object is not iterable")),
+        (["check", "FILE"], {**_DIRECTED, "matching": [[0, 1], [1, 0]]}, 2,
+         _invalid("directed instances carry exactly the diagonal matching")),
+    ],
+    ids=[
+        "stdin", "missing-path", "from-malformed-inline", "from-file", "from-not-pairs",
+        "construct-f5", "sample-f5", "bench-f5", "bench-no-kernel", "instance-not-object",
+        "unknown-kind", "missing-field", "malformed-field", "directed-off-diagonal",
+    ],
+)
+def test_exit_paths(capsys, monkeypatch, tmp_path, f2_path, f5_path, argv, content, code, expected):
+    """Exit code and report fields of input paths that no other test takes."""
+    names = {"F2": f2_path, "F5": f5_path, "MISSING": str(tmp_path / "missing.json")}
+    if content is not None:
+        names["FILE"] = str(tmp_path / "file.json")
+        Path(names["FILE"]).write_text(json.dumps(content))
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(f2_path).read_text()))
+    got, payload = run(capsys, [names.get(a, a) for a in argv])
+    assert got == code
+    assert {k: payload.get(k) for k in expected} == {
+        k: names.get(v, v) if isinstance(v, str) else v for k, v in expected.items()
+    }
+    assert code == 0 or "error" in payload or payload["graphical"] is False
 
 
 def test_bench_schema(capsys, f2_path):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rds_kit import core
@@ -17,6 +17,7 @@ from rds_kit.errors import (
     NotAChord,
     NotDirectedKind,
     OverlappingMatching,
+    PreconditionViolated,
     StarCenterOutOfRange,
     SumMismatch,
     UnsupportedDirectedVariant,
@@ -25,7 +26,12 @@ from rds_kit.errors import (
 from rds_kit.oracle import enumerate_all
 from rds_kit.swaps import make_circuit
 
-from conftest import digraph_bruteforce, subset_bruteforce
+from conftest import (
+    digraph_bruteforce,
+    half_regular_instances,
+    star_matching_instances,
+    subset_bruteforce,
+)
 
 
 # -- validate_instance ------------------------------------------------------
@@ -208,37 +214,37 @@ def test_adjacency_matrix_f1(f1):
     r1 = core.make_realization(f1, [(0, 1), (1, 0)])
     m = core.adjacency_matrix(r1)
     # rows w0, w1; columns u0, u1
-    assert m.forbidden[0, 0] and m.forbidden[1, 1]
-    assert m.values[0, 1] == 1 and m.values[1, 0] == 1
-    assert list(m.column_sums()) == [1, 1]
-    assert list(m.row_sums()) == [1, 1]
+    assert f1.forbidden_mask[0, 0] and f1.forbidden_mask[1, 1]
+    assert m[0, 1] == 1 and m[1, 0] == 1
+    assert list(m.sum(axis=0)) == [1, 1]
+    assert list(m.sum(axis=1)) == [1, 1]
 
 
 def test_adjacency_matrix_f4(f4):
     r4 = core.make_realization(f4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
     m = core.adjacency_matrix(r4)
-    assert list(m.column_sums()) == [1, 2, 2]
-    assert list(m.row_sums()) == [2, 2, 1]
-    assert m.forbidden[0, 0] and m.forbidden[1, 1] and m.forbidden[2, 2]
+    assert list(m.sum(axis=0)) == [1, 2, 2]
+    assert list(m.sum(axis=1)) == [2, 2, 1]
+    assert f4.forbidden_mask[0, 0] and f4.forbidden_mask[1, 1] and f4.forbidden_mask[2, 2]
 
 
 def test_adjacency_matrix_sums_for_every_enumerated_realization(f2, f3, f4):
     for inst in (f2, f3, f4):
         for r in enumerate_all(inst):
             m = core.adjacency_matrix(r)
-            assert list(m.column_sums()) == list(inst.u_degrees)
-            assert list(m.row_sums()) == list(inst.w_degrees)
+            assert list(m.sum(axis=0)) == list(inst.u_degrees)
+            assert list(m.sum(axis=1)) == list(inst.w_degrees)
 
 
 def test_adjacency_matrix_copies_are_independent_and_writable(f3):
     real = enumerate_all(f3)[0]
     first = core.adjacency_matrix(real)
-    assert first.values.flags.writeable
-    original = first.values.copy()
-    first.values[:] = 7
+    assert first.flags.writeable
+    original = first.copy()
+    first[:] = 7
     second = core.adjacency_matrix(real)
-    assert second.values is not first.values
-    assert np.array_equal(second.values, original)
+    assert second is not first
+    assert np.array_equal(second, original)
     assert np.array_equal(real.matrix, original)
 
 
@@ -253,7 +259,17 @@ def test_realization_matrix_and_forbidden_mask_are_read_only(f3):
     with pytest.raises(ValueError):
         mask[0, 1] = True
     assert np.array_equal(mask, core._forbidden_mask(f3))
-    assert core.adjacency_matrix(real).forbidden is mask
+
+
+def test_matrices_refuse_general_instances():
+    inst = core.general_instance([1, 1])
+    real = core.make_realization(inst, [(0, 1)])
+    with pytest.raises(PreconditionViolated):
+        real.matrix
+    with pytest.raises(PreconditionViolated):
+        core.adjacency_matrix(real)
+    with pytest.raises(PreconditionViolated):
+        inst.forbidden_mask
 
 
 def test_known_edge_set_returns_the_enumerated_object(f3):
@@ -333,6 +349,60 @@ def test_instance_json_roundtrip(inst):
     blob = json.dumps(core.instance_to_json(inst), sort_keys=True)
     again = core.validate_instance(json.loads(blob))
     assert again == inst
+
+
+@st.composite
+def _directed_instances(draw, star: bool):
+    """Directed instances; with ``star``, the out-copy of one vertex is a star center."""
+    n = draw(st.integers(2, 5))
+    out_deg = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    in_deg = draw(st.permutations(out_deg))
+    if not star:
+        return core.from_directed(out_deg, in_deg)
+    center = draw(st.integers(0, n - 1))
+    leaves = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    diagonal = [(i, i) for i in range(n)]
+    try:
+        return core.bipartite_instance(out_deg, in_deg, center, leaves, diagonal, core.KIND_DIRECTED)
+    except core.ValidationError:
+        assume(False)
+
+
+@st.composite
+def _general_instances(draw):
+    """General instances, with or without a star, and a matching."""
+    n = draw(st.integers(3, 7))
+    degrees = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    degrees[0] += sum(degrees) % 2
+    order = draw(st.permutations(range(n)))
+    center = draw(st.none() | st.just(order[0]))
+    leaves = [] if center is None else order[1: 1 + draw(st.integers(0, 2))]
+    shuffled = draw(st.permutations(range(n)))
+    matching = [shuffled[2 * i: 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
+    try:
+        return core.general_instance(degrees, center, leaves, matching)
+    except core.ValidationError:
+        assume(False)
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        half_regular_instances(),
+        star_matching_instances(),
+        _directed_instances(star=False),
+        _directed_instances(star=True),
+        _general_instances(),
+    ],
+    ids=["half-regular", "star-matching", "directed", "directed-star", "general"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_instance_json_roundtrip_every_kind(instances, data):
+    inst = data.draw(instances)
+    assert core.validate_instance(core.instance_to_json(inst)) == inst
+    blob = json.dumps(core.instance_to_json(inst))
+    assert core.validate_instance(json.loads(blob)) == inst
 
 
 def test_realization_json_sorted(f2, f2_reals):
