@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -102,3 +105,40 @@ def test_uniformity_f2_short(f2):
     assert res["tv_distance"] <= threshold
     assert res["chi_square_p"] > 1e-4
     assert sum(res["counts"]) == n
+
+
+def _oracle_digest(instances):
+    """sha256 over every instance's sorted state keys and each state's F-swap circuits."""
+    entries = []
+    for inst in instances:
+        states = oracle.enumerate_all(inst)
+        entries.append(
+            [
+                [s.key for s in states],
+                [[c.vertices for c in oracle.enumerate_fswaps(s)] for s in states],
+            ]
+        )
+    sizes = [(len(keys), sum(map(len, circuits))) for keys, circuits in entries]
+    return sizes, hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+
+
+def test_oracle_outputs_match_pinned_digest(f2, roadmap_4x4):
+    """Enumerated states and F-swap circuits, in order, on all three instance kinds."""
+    instances = [
+        f2,
+        roadmap_4x4,
+        core.bipartite_instance(
+            [2] * 5, [2] * 5, star_center=0, star_leaves=[1], matching=[(i, i) for i in range(1, 5)]
+        ),
+        core.from_directed([2, 1, 1, 1], [1, 2, 1, 1]),
+        core.general_instance(
+            [2, 2, 2, 1, 1, 2], star_center=0, star_leaves=[1], matching=[(2, 3), (4, 5)]
+        ),
+        core.general_instance(
+            [2] * 7, star_center=0, star_leaves=[1, 2], matching=[(3, 4), (5, 6)]
+        ),
+    ]
+    assert _oracle_digest(instances) == (
+        [(2, 2), (15, 72), (189, 2310), (7, 20), (11, 72), (104, 1560)],
+        "1daecadd31e2c8a5987b161062d5807554cd7ed32dfe0af9beb35d53909cfd41",
+    )
