@@ -70,7 +70,7 @@ import numpy as np
 
 from .core import Pair, ProblemInstance, Realization
 from .errors import (
-    InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, ValidationError,
+    InstanceTooSmall, NotAChord, NotAdjacent, NotGraphical, PreconditionViolated, ValidationError,
 )
 
 _BLOCK = 4096  # the most tries drawn per numpy block
@@ -479,7 +479,7 @@ def exact_kernel(inst: ProblemInstance, max_states: int = 4096) -> KernelReport:
     states = enumerate_all(inst, max_states=max_states)
     n = len(states)
     if n == 0:
-        raise PreconditionViolated("instance is not graphical")
+        raise NotGraphical("instance is not graphical")
     index = {s.edges: i for i, s in enumerate(states)}
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i, state in enumerate(states):

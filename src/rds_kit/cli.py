@@ -22,7 +22,7 @@ from .core import (
     make_realization,
     validate_instance,
 )
-from .errors import RdsKitError, TooLarge, ValidationError
+from .errors import NotGraphical, RdsKitError, TooLarge, ValidationError
 
 SCHEMA = "rds-kit/1"
 
@@ -248,7 +248,10 @@ def _cmd_distance(args) -> tuple[int, dict]:
 
 def _cmd_kernel(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
-    report = exact_kernel(inst, max_states=args.max_states)
+    try:
+        report = exact_kernel(inst, max_states=args.max_states)
+    except NotGraphical:
+        return EXIT_NEGATIVE, {"graphical": False}
     return EXIT_OK, report.to_json_dict()
 
 

@@ -1,5 +1,7 @@
 """Brute-force ground truth: enumeration, realization graphs, uniformity checks.
 
+One enumerator serves bipartite, directed and general instances alike, and
+one depth-first search lists the alternating circuits behind the F-swaps.
 Everything here is a desk-scale oracle guarded by size limits; the fast paths
 elsewhere are validated against it, never the other way round.
 """
@@ -12,7 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .chain import legal_moves
+from .chain import _require_chain_instance, legal_moves, run_chain
+from .construct import greedy_construct
 from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
 from .errors import NotGraphical, PreconditionViolated, TooLarge, TooManyStates
 from .swaps import ChordCircuit, check_alternating, is_f_compatible
@@ -39,81 +42,52 @@ def enumerate_all(
         if max_states is not None and len(out) > max_states:
             raise TooManyStates(f"more than {max_states} states: enumeration stopped at the guard")
 
-    if inst.is_bipartite_like:
-        _enumerate_bipartite(inst, collect)
-    else:
-        _enumerate_general(inst, collect)
+    _enumerate(inst, collect)
     inst.known_realizations.update((r.edges, r) for r in out)
     return sorted(out, key=lambda r: r.key)
 
 
-def _enumerate_bipartite(inst: ProblemInstance, collect) -> None:
-    n_u = inst.n_u
-    w_ids = list(range(n_u, inst.n_vertices))
-    chords_at = {u: inst.chords_at(u) for u in range(n_u)}
-    chords_set = {u: set(chords_at[u]) for u in range(n_u)}
-    residual = {w: inst.degree(w) for w in w_ids}
-    edges: list[Pair] = []
+def _enumerate(inst: ProblemInstance, collect) -> None:
+    """Pass the edge list of every realization to ``collect``, each once.
 
-    def feasible(u_next: int) -> bool:
-        remaining_u = sum(inst.degree(u) for u in range(u_next, n_u))
-        total_w = sum(residual.values())
-        if total_w != remaining_u:
-            return False
-        # every w must still be reachable often enough
-        for w, r in residual.items():
-            if r > sum(1 for u in range(u_next, n_u) if w in chords_set[u]):
-                return False
-        return True
-
-    def rec(u: int) -> None:
-        if u == n_u:
-            if all(r == 0 for r in residual.values()):
-                collect(edges)
-            return
-        need = inst.degree(u)
-        candidates = [w for w in chords_at[u] if residual[w] > 0]
-        if len(candidates) < need:
-            return
-        for subset in combinations(candidates, need):
-            for w in subset:
-                residual[w] -= 1
-            edges.extend((u, w) for w in subset)
-            if feasible(u + 1):
-                rec(u + 1)
-            del edges[len(edges) - need :]
-            for w in subset:
-                residual[w] += 1
-
-    rec(0)
-
-
-def _enumerate_general(inst: ProblemInstance, collect) -> None:
+    Vertices are taken in id order; vertex v takes all its remaining degree
+    from later chord partners with degree left, as ascending combinations.
+    A branch goes on only if every later vertex x with residual r > 0 still
+    has r later chord partners with residual left.  That one cut serves every
+    kind.  On bipartite kinds the U-vertices come first and a W-vertex has no
+    later partner, so degree left on W is cut at the last U-vertex; the sums
+    of the two classes need no test, since a U-vertex lowers both by its
+    degree.  On general instances the same cut drops branches that cannot
+    close.
+    """
     n = inst.n_vertices
+    partners = [inst.chords_at(v) for v in range(n)]
     residual = [inst.degree(v) for v in range(n)]
     edges: list[Pair] = []
 
+    def can_close(v: int) -> bool:
+        return all(
+            r <= sum(1 for y in partners[x] if y > v and residual[y] > 0)
+            for x, r in enumerate(residual[v + 1 :], v + 1)
+            if r > 0
+        )
+
     def rec(v: int) -> None:
         if v == n:
-            if all(r == 0 for r in residual):
-                collect(edges)
+            collect(edges)
             return
         need = residual[v]
-        candidates = [
-            x for x in range(v + 1, n) if residual[x] > 0 and inst.is_chord(v, x)
-        ]
-        if len(candidates) < need:
-            return
-        for subset in combinations(candidates, need):
-            residual[v] = 0
+        residual[v] = 0
+        for subset in combinations([x for x in partners[v] if x > v and residual[x] > 0], need):
             for x in subset:
                 residual[x] -= 1
-            edges.extend(norm_pair(v, x) for x in subset)
-            rec(v + 1)
+            edges.extend((v, x) for x in subset)
+            if can_close(v):
+                rec(v + 1)
             del edges[len(edges) - need :]
             for x in subset:
                 residual[x] += 1
-            residual[v] = need
+        residual[v] = need
 
     rec(0)
 
@@ -134,68 +108,45 @@ def enumerate_fswaps(real: Realization) -> list[ChordCircuit]:
 
 
 def _alternating_elementary_circuits(real: Realization, max_length: int) -> list[ChordCircuit]:
-    """Enumerate alternating elementary chord-circuits, canonical and deduplicated."""
+    """Enumerate alternating elementary chord-circuits, canonical and deduplicated.
+
+    Each circuit is found from its least vertex.  A vertex may come back once,
+    at odd distance along the path, and no chord is used twice.
+    """
     inst = real.instance
-    n = inst.n_vertices
-    chords_of = {v: inst.chords_at(v) for v in range(n)}
+    chords_of = [inst.chords_at(v) for v in range(inst.n_vertices)]
     found: dict[tuple[int, ...], ChordCircuit] = {}
-
-    def close_ok(path: list[int], first_status: bool) -> bool:
-        a, b = path[-1], path[0]
-        if not inst.is_chord(a, b):
-            return False
-        if norm_pair(a, b) in used_chords:
-            return False
-        return real.has_edge(a, b) != first_status
-
     used_chords: set[Pair] = set()
 
-    def dfs(path: list[int], counts: dict[int, int], positions: dict[int, int],
-            last_status: bool, first_status: bool) -> None:
-        cur = path[-1]
-        if len(path) >= 4 and len(path) % 2 == 0 and close_ok(path, first_status):
+    def dfs(path: list[int]) -> None:
+        first, cur = path[0], path[-1]
+        # None lets the first chord be an edge or a non-edge
+        last_status = real.has_edge(path[-2], cur) if len(path) > 1 else None
+        if (
+            len(path) >= 4
+            and len(path) % 2 == 0
+            and inst.is_chord(cur, first)
+            and norm_pair(cur, first) not in used_chords
+            and real.has_edge(cur, first) != real.has_edge(first, path[1])
+        ):
             circ = ChordCircuit(inst, tuple(path)).canonical()
             found.setdefault(circ.vertices, circ)
         if len(path) >= max_length:
             return
         for nxt in chords_of[cur]:
-            if nxt < path[0]:
-                continue  # circuits are discovered from their minimum vertex
             pair = norm_pair(cur, nxt)
-            if pair in used_chords:
+            if nxt < first or pair in used_chords or real.has_edge(cur, nxt) == last_status:
                 continue
-            if real.has_edge(cur, nxt) == last_status:
+            if nxt in path and (path.count(nxt) > 1 or (len(path) - path.index(nxt)) % 2 == 0):
                 continue
-            c = counts.get(nxt, 0)
-            if c >= 2:
-                continue
-            if c == 1 and (len(path) - positions[nxt]) % 2 == 0:
-                continue  # repeats must sit at odd circuit distance
             used_chords.add(pair)
             path.append(nxt)
-            counts[nxt] = c + 1
-            old_pos = positions.get(nxt)
-            positions[nxt] = len(path) - 1
-            dfs(path, counts, positions, real.has_edge(path[-2], nxt), first_status)
+            dfs(path)
             path.pop()
-            if c == 0:
-                del counts[nxt]
-                del positions[nxt]
-            else:
-                counts[nxt] = c
-                positions[nxt] = old_pos
             used_chords.discard(pair)
 
-    for start in range(n):
-        for second in chords_of[start]:
-            if second < start:
-                continue
-            status = real.has_edge(start, second)
-            pair = norm_pair(start, second)
-            used_chords.add(pair)
-            dfs([start, second], {start: 1, second: 1}, {start: 0, second: 1},
-                status, status)
-            used_chords.discard(pair)
+    for start in range(inst.n_vertices):
+        dfs([start])
     return list(found.values())
 
 
@@ -279,9 +230,6 @@ def uniformity_test(
 ) -> dict:
     """Sample independent chains and compare the end-state histogram to uniform."""
     from scipy import stats  # slow to import, and needed only here
-
-    from .chain import _require_chain_instance, run_chain
-    from .construct import greedy_construct
 
     _require_chain_instance(inst)
     states = enumerate_all(inst)

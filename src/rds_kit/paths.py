@@ -246,16 +246,7 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
             steps.append(PathStep(move=kind, toggle=toggle, state=nxt))
             cur = nxt
         cycle_weights.append((cyc.length // 2, sum(st.weight for st in steps[first:])))
-    theta_ok = all(w == l - 1 for l, w in cycle_weights)
-    return PathReport(
-        source=X,
-        target=Y,
-        cycles=cycles,
-        milestones=miles,
-        steps=steps,
-        cycle_weights=cycle_weights,
-        theta_ok=theta_ok,
-    )
+    return PathReport(steps=steps, theta_ok=all(w == l - 1 for l, w in cycle_weights))
 
 
 @dataclass
@@ -275,12 +266,7 @@ class PathStep:
 class PathReport:
     """Canonical path between two realizations; the audit fills the last two fields."""
 
-    source: Realization
-    target: Realization
-    cycles: list[ChordCircuit]
-    milestones: list[Realization]
     steps: list[PathStep]
-    cycle_weights: list[tuple[int, int]]
     theta_ok: bool
     omega_ok: bool | None = None
     max_hamming: int | None = None

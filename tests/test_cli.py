@@ -474,6 +474,7 @@ def _invalid(message):
          {"error": "BadRealization"}),
         (["construct", "F5"], None, 1, {"graphical": False}),
         (["sample", "F5"], None, 1, {"graphical": False}),
+        (["kernel", "F5"], None, 1, {"graphical": False}),
         (["bench", "F5", "--steps", "10"], None, 1, {"graphical": False}),
         (["bench", "F2", "--steps", "10", "--max-states", "0"], None, 0, {"kernel_seconds": None}),
         (["check", "FILE"], [1, 2], 2, _invalid("instance description must be a JSON object")),
@@ -489,7 +490,7 @@ def _invalid(message):
     ],
     ids=[
         "stdin", "missing-path", "from-malformed-inline", "from-file", "from-not-pairs",
-        "construct-f5", "sample-f5", "bench-f5", "bench-no-kernel", "instance-not-object",
+        "construct-f5", "sample-f5", "kernel-f5", "bench-f5", "bench-no-kernel", "instance-not-object",
         "unknown-kind", "missing-field", "malformed-field", "directed-off-diagonal",
     ],
 )

@@ -197,6 +197,7 @@ def test_to_directed_requires_directed_kind(f2, f2_reals):
         ((1, 2, 1), (2, 1, 1)),
         ((2, 2, 0), (1, 1, 2)),
         ((0, 1, 1), (1, 1, 0)),
+        ((2, 1, 1, 1), (1, 2, 1, 1)),
     ],
 )
 def test_directed_bijection_against_double_bruteforce(out_deg, in_deg):

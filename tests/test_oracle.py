@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rds_kit import core, oracle, swaps
 from rds_kit.errors import NotGraphical, PreconditionViolated, TooLarge, TooManyStates
@@ -41,6 +43,35 @@ def test_enumerate_state_guard_stops_early(monkeypatch):
     assert len(built) == 4  # stops at the first state past the guard, not at all 44
     assert inst.known_realizations == {}
     assert len(oracle.enumerate_all(inst, max_states=44)) == 44
+
+
+@st.composite
+def _general_star_matching_instances(draw):
+    """General instances on 2-6 vertices with a star, a matching and degrees within reach."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    matching = [order[2 * i : 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
+    center = draw(st.integers(0, n - 1))
+    leaves = draw(st.sets(st.integers(0, n - 1).filter(lambda v: v != center)))
+    forbidden = {frozenset(p) for p in matching} | {frozenset((center, v)) for v in leaves}
+    degrees = [
+        draw(st.integers(0, sum(frozenset((v, x)) not in forbidden for x in range(n) if x != v)))
+        for v in range(n)
+    ]
+    if sum(degrees) % 2:
+        degrees[next(v for v, d in enumerate(degrees) if d)] -= 1
+    try:
+        return core.general_instance(degrees, center, sorted(leaves), matching)
+    except core.ValidationError:
+        assume(False)  # a matching pair between two leaves closes a triangle
+
+
+@settings(max_examples=100, deadline=None)
+@given(_general_star_matching_instances())
+def test_enumerate_general_matches_subset_bruteforce(inst):
+    got = [r.edges for r in oracle.enumerate_all(inst)]
+    assert len(got) == len(set(got))
+    assert set(got) == set(subset_bruteforce(inst))
 
 
 def test_enumerate_general_triangle_free_matching():
