@@ -49,12 +49,22 @@ def f5():
     return core.bipartite_instance([2, 2, 0], [2, 1, 1], matching=[(0, 0), (1, 1), (2, 2)])
 
 
+# u = w = [2]*4, star u0 -> {w1}, matching (1, 2) and (2, 3); 15 realizations
+ROADMAP_4X4 = core.bipartite_instance(
+    [2] * 4, [2] * 4, star_center=0, star_leaves=[1], matching=[(1, 2), (2, 3)]
+)
+# 88 states, 48 c6 moves through the center u2; its partners are its match w1 and
+# the leaves w0 and w2, so kappa = 3; u1 is matched to the leaf w2, which rules
+# out every U-triple with u1 and u2
+MATCHED_CENTER = core.bipartite_instance(
+    [2, 2, 1, 2, 2], [2, 2, 2, 2, 1], star_center=2, star_leaves=[0, 2],
+    matching=[(2, 1), (1, 2), (0, 3), (3, 4)],
+)
+
+
 @pytest.fixture
 def roadmap_4x4():
-    """u = w = [2]*4, star u0 -> {w1}, matching (1, 2) and (2, 3); 15 realizations."""
-    return core.bipartite_instance(
-        [2] * 4, [2] * 4, star_center=0, star_leaves=[1], matching=[(1, 2), (2, 3)]
-    )
+    return ROADMAP_4X4
 
 
 @pytest.fixture

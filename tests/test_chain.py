@@ -17,7 +17,7 @@ from rds_kit.errors import (
 )
 from rds_kit.oracle import enumerate_all
 
-from conftest import half_regular_instances, star_matching_instances
+from conftest import MATCHED_CENTER, half_regular_instances, star_matching_instances
 
 
 def test_run_chain_reaches_both_states(f2, f2_reals):
@@ -319,13 +319,6 @@ TWO_LEAF_STAR = core.bipartite_instance(
 # 189 states, 216 c6 moves; kappa = 2, as each U-triple with u0 has a W-triple for either leaf
 WIDE_STAR = core.bipartite_instance(
     [2] * 5, [2] * 5, star_center=0, star_leaves=[0, 1], matching=[(1, 2), (2, 3), (3, 4)]
-)
-# 88 states, 48 c6 moves through the center u2; its partners are its match w1 and
-# the leaves w0 and w2, so kappa = 3; u1 is matched to the leaf w2, which rules
-# out every U-triple with u1 and u2
-MATCHED_CENTER = core.bipartite_instance(
-    [2, 2, 1, 2, 2], [2, 2, 2, 2, 1], star_center=2, star_leaves=[0, 2],
-    matching=[(2, 1), (1, 2), (0, 3), (3, 4)],
 )
 
 

@@ -11,7 +11,7 @@ from rds_kit import chain, cli, core, oracle, paths, swaps
 from rds_kit.errors import AuditFailed, NotAMilestonePair, PreconditionViolated
 from rds_kit.oracle import enumerate_all
 
-from conftest import half_regular_instances
+from conftest import MATCHED_CENTER, ROADMAP_4X4, half_regular_instances
 
 
 # -- decomposition / milestones ----------------------------------------------
@@ -440,12 +440,19 @@ def _audit_digest(inst):
 
 
 @pytest.mark.parametrize(
-    "n, d, n_states, digest",
+    "inst, n_states, digest",
     [
-        (4, 2, 7, "8576bb545b918604c98f3ebe8cde09d52d604e893a66295ab2ed2d99de06fef1"),
-        (5, 3, 32, "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943"),
+        (_half_regular(4, 2), 7, "8576bb545b918604c98f3ebe8cde09d52d604e893a66295ab2ed2d99de06fef1"),
+        (_half_regular(5, 3), 32, "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943"),
+        (ROADMAP_4X4, 15, "ad35b9c3785376080ec18e7bf05b3e3a8cedf31b069c875ef9cb3ef5aabdbc00"),
+        (MATCHED_CENTER, 88, "d8be711c794d9254705ba48bc95c8ac0a29b2e71a12e12478c24e395d3789410"),
     ],
+    ids=["half_regular_4_2", "half_regular_5_3", "roadmap_4x4", "MATCHED_CENTER"],
 )
-def test_audit_outcomes_match_pinned_digest(n, d, n_states, digest):
-    """Every ordered pair's audit outcome, step by step, is pinned."""
-    assert _audit_digest(_half_regular(n, d)) == (n_states, digest)
+def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
+    """Every ordered pair's audit outcome, step by step, is pinned.
+
+    MATCHED_CENTER is the one with lone -1 entries and 2/-1 pairs that no
+    single switch resolves; the other three repair mostly lone 2 entries.
+    """
+    assert _audit_digest(inst) == (n_states, digest)
