@@ -417,15 +417,10 @@ class KernelReport:
     instance: ProblemInstance
     states: tuple[Realization, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
-    half_regular: bool
 
     @property
     def size(self) -> int:
         return len(self.states)
-
-    @property
-    def stationary(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(1, self.size)] * self.size)
 
     def diagnostics(self) -> dict:
         n = self.size
@@ -447,28 +442,27 @@ class KernelReport:
             "row_sum_residual": row_residual,
             "min_diagonal": min_diag,
             "uniform_stationary": stationary_exact,
-            "half_regular": self.half_regular,
+            "half_regular": self.instance.half_regular,
         }
 
     def dense(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.matrix])
 
     def to_json_dict(self) -> dict:
+        """Fractions written as "numerator/denominator"; the stationary law is uniform."""
         diag = self.diagnostics()
         return {
             "states": [s.to_pairs() for s in self.states],
-            "matrix": [
-                [f"{x.numerator}/{x.denominator}" for x in row] for row in self.matrix
-            ],
-            "stationary": [f"{x.numerator}/{x.denominator}" for x in self.stationary],
+            "matrix": [[_fraction(x) for x in row] for row in self.matrix],
+            "stationary": [_fraction(Fraction(1, self.size)) for _ in self.states],
             "diagnostics": {
-                "symmetry_residual": f"{diag['symmetry_residual'].numerator}/{diag['symmetry_residual'].denominator}",
-                "row_sum_residual": f"{diag['row_sum_residual'].numerator}/{diag['row_sum_residual'].denominator}",
-                "min_diagonal": f"{diag['min_diagonal'].numerator}/{diag['min_diagonal'].denominator}",
-                "uniform_stationary": diag["uniform_stationary"],
-                "half_regular": diag["half_regular"],
+                k: _fraction(v) if isinstance(v, Fraction) else v for k, v in diag.items()
             },
         }
+
+
+def _fraction(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def exact_kernel(inst: ProblemInstance, max_states: int = 4096) -> KernelReport:
@@ -487,12 +481,7 @@ def exact_kernel(inst: ProblemInstance, max_states: int = 4096) -> KernelReport:
             j = index[state.edges.symmetric_difference(toggle)]
             rows[i][j] = _move_probability(inst, kind)
         rows[i][i] = 1 - sum(rows[i])
-    return KernelReport(
-        inst,
-        tuple(states),
-        tuple(tuple(r) for r in rows),
-        inst.half_regular,
-    )
+    return KernelReport(inst, tuple(states), tuple(tuple(r) for r in rows))
 
 
 def sample_edge_frequency(

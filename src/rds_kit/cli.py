@@ -257,7 +257,10 @@ def _cmd_kernel(args) -> tuple[int, dict]:
 
 def _cmd_audit_paths(args) -> tuple[int, dict]:
     inst = _load_instance(args.instance)
+    paths._require_audit_instance(inst)
     states = oracle.enumerate_all(inst, max_states=args.max_states)
+    if not states:
+        return EXIT_NEGATIVE, {"graphical": False}
     stack = paths.state_stack(states)
     edge_lists = [s.to_pairs() for s in states] if args.verbose else None
     pair_reports = [] if args.verbose else None

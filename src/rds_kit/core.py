@@ -30,7 +30,6 @@ from .errors import (
     PreconditionViolated,
     StarCenterOutOfRange,
     SumMismatch,
-    UnsupportedDirectedVariant,
     ValidationError,
 )
 
@@ -404,15 +403,13 @@ def general_instance(
     return _check_common(inst)
 
 
-def from_directed(
-    out_degrees: Iterable[int],
-    in_degrees: Iterable[int],
-    allow_opposite: bool = True,
-) -> ProblemInstance:
+def from_directed(out_degrees: Iterable[int], in_degrees: Iterable[int]) -> ProblemInstance:
     """Bipartite representation of a directed degree bisequence.
 
     Vertex x becomes an out-copy u_x and an in-copy w_x; the diagonal matching
     forbids loops.  Zero-degree copies are kept as isolated vertices.
+    Oppositely directed arc pairs stay allowed: excluding them is not a
+    star+matching restriction.
     """
     out_deg = tuple(_as_int(d, "out-degree") for d in out_degrees)
     in_deg = tuple(_as_int(d, "in-degree") for d in in_degrees)
@@ -420,10 +417,6 @@ def from_directed(
         raise LengthMismatch(f"{len(out_deg)} out-degrees vs {len(in_deg)} in-degrees")
     if sum(out_deg) != sum(in_deg):
         raise SumMismatch(f"out-degrees sum to {sum(out_deg)}, in-degrees to {sum(in_deg)}")
-    if not allow_opposite:
-        raise UnsupportedDirectedVariant(
-            "excluding oppositely directed edge pairs is not a star+matching restriction"
-        )
     diagonal = [(i, i) for i in range(len(out_deg))]
     return bipartite_instance(out_deg, in_deg, matching=diagonal, kind=KIND_DIRECTED)
 

@@ -37,10 +37,6 @@ class SumMismatch(ValidationError):
     """Out- and in-degree sequences differ in total."""
 
 
-class UnsupportedDirectedVariant(ValidationError):
-    """Requested directed-graph variant cannot be expressed as a star+matching restriction."""
-
-
 class IndexOutOfRange(RdsKitError):
     """Vertex index outside the instance."""
 

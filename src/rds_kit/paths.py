@@ -17,8 +17,10 @@ step the audit forms the auxiliary matrix once and checks that it stays within
 one swap and at most three corner switches of a genuine realization matrix
 (Hamming distance at most 16) and that its bad entries stay confined to one
 column away from the star center; the repair's one-move detour walks
-:func:`~rds_kit.chain.legal_moves`.  Every cycle of length 2l must cost
-exactly weight l-1.
+:func:`~rds_kit.chain.legal_moves`.  The repair is one rule: each corner
+switch moves a unit of the bad column from a source row to a sink row and
+back through a column that stays binary, retiring a 2 or a -1 and creating
+no bad entry.  Every cycle of length 2l must cost exactly weight l-1.
 
 Matrices exist for bipartite kinds only, as plain W x U int8 arrays like
 :attr:`Realization.matrix`, with 0 at every forbidden pair; the repair, which
@@ -288,20 +290,19 @@ def _apply_switch(inst: ProblemInstance, m: np.ndarray, sw: Switch) -> None:
         m[r, c] += d
 
 
-def _value(inst: ProblemInstance, m: np.ndarray, u: int, w: int) -> int | None:
-    r = w - inst.n_u
-    if inst.forbidden_mask[r, u]:
-        return None
-    return int(m[r, u])
-
-
 def switch_repair(inst: ProblemInstance, m: np.ndarray) -> tuple[list[Switch], Realization]:
     """Corner switches turning an audit matrix into a realization matrix.
 
     Requires constant column sums away from the star center and at most two
-    2-entries plus at most one -1-entry, all in one column.  Each switch adds
+    2-entries plus at most one -1-entry, all in one column u.  Each switch adds
     1 on one diagonal of a 2x2 submatrix and subtracts 1 on the other, never
-    touching a forbidden corner; at most ``MAX_SWITCHES`` are needed.
+    touching a forbidden corner.  One rule picks every switch: it moves a unit
+    of column u from a source row to a sink row and back through another
+    column u1 that has a 1 in the sink row and a free 0 in the source row, so
+    u1 stays binary.  The first candidate of three tiers is taken: a -1 sink
+    with a 2 source, a -1 sink with a 1 source, a free 0 sink with a 2 source.
+    A switch thus retires one or two bad entries and creates none, and the at
+    most three bad entries need at most ``MAX_SWITCHES`` switches.
     """
     s = inst.effective_star_center
     sums = m.sum(axis=0)
@@ -317,7 +318,7 @@ def switch_repair(inst: ProblemInstance, m: np.ndarray) -> tuple[list[Switch], R
     while bads:
         if len(switches) >= MAX_SWITCHES:
             raise AuditFailed("repair exceeded the switch budget")
-        sw = _pick_switch(inst, work, bads)
+        sw = _pick_switch(inst, work, bads[0][0])
         _apply_switch(inst, work, sw)
         switches.append(sw)
         bads = bad_positions(work)
@@ -328,75 +329,28 @@ def switch_repair(inst: ProblemInstance, m: np.ndarray) -> tuple[list[Switch], R
     return switches, realization_from_global_edges(inst, edges)
 
 
-def _pick_switch(
-    inst: ProblemInstance, m: np.ndarray, bads: list[tuple[int, int, int]]
-) -> Switch:
-    twos = [(u, w) for u, w, v in bads if v == 2]
-    negs = [(u, w) for u, w, v in bads if v == -1]
-    u_ids = range(inst.n_u)
-    w_ids = range(inst.n_u, inst.n_vertices)
+def _pick_switch(inst: ProblemInstance, m: np.ndarray, u: int) -> Switch:
+    """The first switch of :func:`switch_repair`'s rule through the bad column u.
 
-    if twos and negs:
-        u = negs[0][0]
-        w3 = negs[0][1]
-        twos = [t for t in twos if t[0] == u]
-        if not twos:
-            raise AuditFailed("2-value and -1-value drifted into different columns")
-        # pair one 2 with the -1 in one switch when a clean column exists
-        for _, w_two in twos:
-            for u1 in u_ids:
-                if u1 == u:
-                    continue
-                if _value(inst, m, u1, w_two) == 0 and _value(inst, m, u1, w3) == 1:
-                    return ((u, w3), (u1, w_two))
-        if len(twos) == 1:
-            # degrade gently: push the surplus into a fresh column
-            _, w_two = twos[0]
-            for u1 in u_ids:
-                if u1 == u:
-                    continue
-                if _value(inst, m, u1, w3) == 1 and _value(inst, m, u1, w_two) is not None:
-                    return ((u, w3), (u1, w_two))
-            for u1 in u_ids:
-                if u1 == u:
-                    continue
-                if _value(inst, m, u1, w_two) == 0 and _value(inst, m, u1, w3) == 0:
-                    return ((u, w3), (u1, w_two))
-        else:
-            # two 2-values: retire one of them without touching the -1
-            for _, w_two in twos:
-                for u1 in u_ids:
-                    if u1 == u or _value(inst, m, u1, w_two) != 0:
-                        continue
-                    for w4 in w_ids:
-                        if w4 in (w_two, w3):
-                            continue
-                        if _value(inst, m, u1, w4) == 1 and _value(inst, m, u, w4) == 0:
-                            return ((u, w4), (u1, w_two))
-        raise AuditFailed("no switch candidate for the 2/-1 pattern")
-
-    if negs:
-        u, w = negs[0]
-        for u1 in u_ids:
-            if u1 == u or _value(inst, m, u1, w) != 1:
+    Candidates are searched tier by tier, each in u1, sink, source order.
+    """
+    n_u = inst.n_u
+    cols = m.T.tolist()
+    col, partners = cols[u], inst.forbidden_partners
+    rows = range(inst.n_w)
+    for sink_value, source_value in ((-1, 2), (-1, 1), (0, 2)):
+        for u1 in range(n_u):
+            if u1 == u:
                 continue
-            for w1 in w_ids:
-                if w1 == w:
+            col1 = cols[u1]
+            for sink in rows:
+                if col[sink] != sink_value or col1[sink] != 1 or n_u + sink in partners[u]:
                     continue
-                if _value(inst, m, u, w1) == 1 and _value(inst, m, u1, w1) == 0:
-                    return ((u, w), (u1, w1))
-        raise AuditFailed("no switch candidate for a -1 entry")
-
-    u, w = twos[0]
-    for u1 in u_ids:
-        if u1 == u or _value(inst, m, u1, w) != 0:
-            continue
-        for w1 in w_ids:
-            if w1 == w:
-                continue
-            if _value(inst, m, u, w1) == 0 and _value(inst, m, u1, w1) == 1:
-                return ((u, w1), (u1, w))
-    raise AuditFailed("no switch candidate for a 2 entry")
+                for source in rows:
+                    if col[source] == source_value and col1[source] == 0:
+                        if n_u + source not in partners[u1]:
+                            return ((u, n_u + sink), (u1, n_u + source))
+    raise AuditFailed("no corner switch retires a bad entry")
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +361,13 @@ def _pick_switch(
 def state_stack(states: list[Realization]) -> np.ndarray:
     """(S, n_w * n_u) stack of the states' matrices, for nearest-state searches."""
     return np.array([s.matrix.ravel() for s in states], dtype=np.int8)
+
+
+def _require_audit_instance(inst: ProblemInstance) -> None:
+    if not inst.is_bipartite_like:
+        raise PreconditionViolated("audits are defined for bipartite kinds")
+    if not inst.half_regular:
+        raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
 
 
 def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> PathReport:
@@ -426,10 +387,7 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
     the confined-column shape.  Raises AuditFailed on any violation.
     """
     inst = X.instance
-    if not inst.is_bipartite_like:
-        raise PreconditionViolated("audits are defined for bipartite kinds")
-    if not inst.half_regular:
-        raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
+    _require_audit_instance(inst)
     report = canonical_path(X, Y)
 
     max_h = 0

@@ -487,11 +487,19 @@ def _invalid(message):
          _invalid("malformed instance field: 'int' object is not iterable")),
         (["check", "FILE"], {**_DIRECTED, "matching": [[0, 1], [1, 0]]}, 2,
          _invalid("directed instances carry exactly the diagonal matching")),
+        (["audit-paths", "FILE"], {"kind": "bipartite", "u_degrees": [0, 2, 2], "w_degrees": [2, 0, 2],
+         "matching": [[0, 0], [1, 1], [2, 2]]}, 1, {"graphical": False}),
+        (["audit-paths", "FILE"], {"kind": "bipartite", "u_degrees": [0, 3, 1], "w_degrees": [2, 1, 1]},
+         2, {"error": "PreconditionViolated"}),
+        (["audit-paths", "FILE", "--max-states", "1"],
+         {"kind": "bipartite", "u_degrees": [1, 2, 1], "w_degrees": [2, 1, 1]},
+         2, {"error": "PreconditionViolated"}),
     ],
     ids=[
         "stdin", "missing-path", "from-malformed-inline", "from-file", "from-not-pairs",
         "construct-f5", "sample-f5", "kernel-f5", "bench-f5", "bench-no-kernel", "instance-not-object",
         "unknown-kind", "missing-field", "malformed-field", "directed-off-diagonal",
+        "audit-not-graphical", "audit-one-state-not-half-regular", "audit-checks-before-enumerating",
     ],
 )
 def test_exit_paths(capsys, monkeypatch, tmp_path, f2_path, f5_path, argv, content, code, expected):

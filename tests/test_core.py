@@ -20,7 +20,6 @@ from rds_kit.errors import (
     PreconditionViolated,
     StarCenterOutOfRange,
     SumMismatch,
-    UnsupportedDirectedVariant,
     ValidationError,
 )
 from rds_kit.oracle import enumerate_all
@@ -168,8 +167,6 @@ def test_from_directed_errors():
         core.from_directed([1], [1, 0])
     with pytest.raises(SumMismatch):
         core.from_directed([1, 1], [1, 0])
-    with pytest.raises(UnsupportedDirectedVariant):
-        core.from_directed([1, 1], [1, 1], allow_opposite=False)
 
 
 def test_to_directed_roundtrip_examples():

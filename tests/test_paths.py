@@ -324,6 +324,26 @@ def test_switch_repair_case3_needs_three_switches():
     assert (m != core.adjacency_matrix(real)).sum() <= 12
 
 
+def test_switch_repair_when_no_one_switch_pairs_the_two_with_the_minus_one():
+    """A 2 and a -1 that no single switch resolves together take two switches."""
+    inst = core.bipartite_instance(
+        [2, 2, 2, 2], [3, 1, 0, 2, 2], star_center=0, star_leaves=[0],
+        matching=[(0, 3), (1, 4), (3, 2)],
+    )
+    m = np.array(
+        [[0, 1, 2, 0], [1, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.int8
+    )
+    switches, real = paths.switch_repair(inst, m)
+    assert 1 <= len(switches) <= paths.MAX_SWITCHES
+    work = m.copy()
+    for sw in switches:
+        prev = work.copy()
+        paths._apply_switch(inst, work, sw)
+        assert (prev != work).sum() == 4
+    assert np.array_equal(work, real.matrix)
+    assert (m != real.matrix).sum() <= 4 * len(switches)
+
+
 def test_switch_repair_rejects_bad_pattern(f2, f2_reals):
     ra, rb = f2_reals
     m = paths.auxiliary_matrix(ra, ra, rb)  # 2 and -1 in multiple columns
