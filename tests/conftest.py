@@ -184,3 +184,20 @@ def half_regular_instances(draw):
         for j in draw(st.permutations(chords[i]))[: u_deg[i]]:
             w_deg[j] += 1
     return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching)
+
+
+@st.composite
+def general_instances(draw):
+    """General instances on 3-7 vertices, with or without a star, and a matching."""
+    n = draw(st.integers(3, 7))
+    degrees = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    degrees[0] += sum(degrees) % 2
+    order = draw(st.permutations(range(n)))
+    center = draw(st.none() | st.just(order[0]))
+    leaves = [] if center is None else order[1: 1 + draw(st.integers(0, 2))]
+    shuffled = draw(st.permutations(range(n)))
+    matching = [shuffled[2 * i: 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
+    try:
+        return core.general_instance(degrees, center, leaves, matching)
+    except core.ValidationError:
+        assume(False)

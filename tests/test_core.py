@@ -27,6 +27,7 @@ from rds_kit.swaps import make_circuit
 
 from conftest import (
     digraph_bruteforce,
+    general_instances,
     half_regular_instances,
     star_matching_instances,
     subset_bruteforce,
@@ -366,23 +367,6 @@ def _directed_instances(draw, star: bool):
         assume(False)
 
 
-@st.composite
-def _general_instances(draw):
-    """General instances, with or without a star, and a matching."""
-    n = draw(st.integers(3, 7))
-    degrees = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    degrees[0] += sum(degrees) % 2
-    order = draw(st.permutations(range(n)))
-    center = draw(st.none() | st.just(order[0]))
-    leaves = [] if center is None else order[1: 1 + draw(st.integers(0, 2))]
-    shuffled = draw(st.permutations(range(n)))
-    matching = [shuffled[2 * i: 2 * i + 2] for i in range(draw(st.integers(0, n // 2)))]
-    try:
-        return core.general_instance(degrees, center, leaves, matching)
-    except core.ValidationError:
-        assume(False)
-
-
 @pytest.mark.parametrize(
     "instances",
     [
@@ -390,7 +374,7 @@ def _general_instances(draw):
         star_matching_instances(),
         _directed_instances(star=False),
         _directed_instances(star=True),
-        _general_instances(),
+        general_instances(),
     ],
     ids=["half-regular", "star-matching", "directed", "directed-star", "general"],
 )

@@ -466,13 +466,33 @@ def _audit_digest(inst):
         (_half_regular(5, 3), 32, "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943"),
         (ROADMAP_4X4, 15, "ad35b9c3785376080ec18e7bf05b3e3a8cedf31b069c875ef9cb3ef5aabdbc00"),
         (MATCHED_CENTER, 88, "d8be711c794d9254705ba48bc95c8ac0a29b2e71a12e12478c24e395d3789410"),
+        (
+            core.from_directed([2] * 4, [2] * 4),
+            9,
+            "a27646179a0a8b0e59dc18522fb60730855d14cd48210034790e93c9359aa3a5",
+        ),
+        (
+            core.from_directed([3] * 5, [3] * 5),
+            44,
+            "8481c92312e5a86ec4024fb8b17f2739a88596694ccdf184ea1b03cd4bf8517e",
+        ),
     ],
-    ids=["half_regular_4_2", "half_regular_5_3", "roadmap_4x4", "MATCHED_CENTER"],
+    ids=[
+        "half_regular_4_2",
+        "half_regular_5_3",
+        "roadmap_4x4",
+        "MATCHED_CENTER",
+        "directed_2_4",
+        "directed_3_5",
+    ],
 )
 def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
     """Every ordered pair's audit outcome, step by step, is pinned.
 
     MATCHED_CENTER is the one with lone -1 entries and 2/-1 pairs that no
-    single switch resolves; the other three repair mostly lone 2 entries.
+    single switch resolves; the other three bipartite ones repair mostly lone
+    2 entries.  The two directed ones are 2- and 3-regular digraphs on four
+    and five vertices, the abstract's directed special case: the diagonal
+    matching forbids loops and there is no star.
     """
     assert _audit_digest(inst) == (n_states, digest)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,13 @@ from rds_kit.errors import (
     TooLarge,
 )
 from rds_kit.oracle import build_realization_graph, enumerate_all, ALL_FSWAPS
+
+from conftest import (
+    ROADMAP_4X4,
+    general_instances,
+    half_regular_instances,
+    star_matching_instances,
+)
 
 
 @pytest.fixture
@@ -355,3 +365,92 @@ def test_swap_distance_equals_weighted_shortest_path(f2, f3):
             dist = graph.shortest_weights_from(i)
             for j, H in enumerate(graph.states):
                 assert swaps.swap_distance(G, H) == dist[j]
+
+
+# -- the circuit count against a closed-trail search ---------------------------
+
+
+def _closed_trails_through(e0, remaining, colors):
+    """Every alternating closed trail within `remaining` through e0, as chord sets.
+
+    A trail may revisit vertices without limit; this is the reference the
+    elementary-circuit search of :mod:`rds_kit.swaps` is checked against.
+    """
+    found = set()
+    a, b = e0
+    c0 = colors[e0]
+
+    def dfs(cur, used, last_color):
+        for other in remaining:
+            if other in used or cur not in other or colors[other] == last_color:
+                continue
+            nxt = other[0] if other[1] == cur else other[1]
+            used.add(other)
+            if nxt == a and colors[other] != c0:
+                found.add(frozenset(used))
+            dfs(nxt, used, colors[other])
+            used.discard(other)
+
+    dfs(b, {e0}, c0)
+    return found
+
+
+def _reference_circuit_count(G, H):
+    """Most closed trails in a partition of E(G) ^ E(H) into alternating closed trails."""
+    delta = G.edges ^ H.edges
+    colors = {e: e in G.edges for e in delta}
+    memo = {}
+
+    def best(remaining):
+        if not remaining:
+            return 0
+        if remaining not in memo:
+            memo[remaining] = max(
+                1 + best(remaining - trail)
+                for trail in _closed_trails_through(min(remaining), remaining, colors)
+            )
+        return memo[remaining]
+
+    return best(frozenset(delta))
+
+
+def test_circuit_counts_match_pinned_digest():
+    """The count on every ordered pair at most 16 chords apart, on all three kinds."""
+    instances = [
+        ROADMAP_4X4,
+        core.from_directed([2, 1, 1, 1], [1, 2, 1, 1]),
+        core.general_instance(
+            [2, 2, 2, 1, 1, 2], star_center=0, star_leaves=[1], matching=[(2, 3), (4, 5)]
+        ),
+    ]
+    counts = [
+        [
+            swaps.max_alternating_circuit_count(G, H)
+            for G in states
+            for H in states
+            if len(G.edges ^ H.edges) <= 16
+        ]
+        for states in map(enumerate_all, instances)
+    ]
+    assert [(len(c), sum(c)) for c in counts] == [(225, 282), (49, 46), (121, 132)]
+    assert (
+        hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+        == "e9772f0278bf21b59215e72a4ffd0583ffe1d7c72c477da80a3249394f57e16a"
+    )
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [star_matching_instances(), half_regular_instances(), general_instances()],
+    ids=["star-matching", "half-regular", "general"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_circuit_count_matches_closed_trail_reference(instances, data):
+    """Elementary circuits reach the largest closed-trail decomposition."""
+    states = enumerate_all(data.draw(instances))
+    assume(states)
+    G = data.draw(st.sampled_from(states))
+    H = data.draw(st.sampled_from(states))
+    assume(len(G.edges ^ H.edges) <= 16)
+    assert swaps.max_alternating_circuit_count(G, H) == _reference_circuit_count(G, H)
