@@ -311,6 +311,45 @@ def _assert_tries_match_moves(inst):
         assert law == expected, state.key
 
 
+
+def test_c6_moves_reverse_directed_triangles():
+    """On digraphs, the 6-cycle moves are Greenhill's triangle reversals.
+
+    Through to_directed every c6 move turns a directed 3-cycle into its
+    reverse, and every directed 3-cycle whose reverse arcs are all absent is
+    reversed by exactly one c6 move.
+    """
+    inst = core.from_directed([2] * 5, [2] * 5)
+    states = enumerate_all(inst)
+    n_moves = n_triangles = 0
+    for state in states:
+        arcs = set(core.to_directed(state))
+        reversed_by_moves = []
+        for kind, toggle in chain.legal_moves(inst, state.edges):
+            if kind != "c6":
+                continue
+            after_state = core.realization_from_global_edges(
+                inst, state.edges.symmetric_difference(toggle)
+            )
+            after = set(core.to_directed(after_state))
+            gone, new = arcs - after, after - arcs
+            assert new == {(y, x) for x, y in gone}
+            x, y = min(gone)
+            [z] = {v for arc in gone for v in arc} - {x, y}
+            assert gone == {(x, y), (y, z), (z, x)}
+            reversed_by_moves.append(frozenset(gone))
+        triangles = {
+            frozenset({(x, y), (y, z), (z, x)})
+            for x, y in arcs
+            for z in range(inst.n_u)
+            if (y, z) in arcs and (z, x) in arcs
+            and not {(y, x), (z, y), (x, z)} & arcs
+        }
+        assert sorted(reversed_by_moves, key=sorted) == sorted(triangles, key=sorted)
+        n_moves += len(reversed_by_moves)
+        n_triangles += len(triangles)
+    assert (len(states), n_moves, n_triangles) == (216, 360, 360)
+
 # 4 states; u0 has two forbidden partners and w0 two, so a 3x3 block can have
 # one entry in every row but none in some column
 TWO_LEAF_STAR = core.bipartite_instance(

@@ -1,7 +1,8 @@
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from rds_kit import construct, core, swaps
@@ -396,6 +397,86 @@ def test_greedy_raises_reference_not_normal_on_raw_instances():
     assert messages[1] == "vertices 3 and 5 share forbidden partner 1"
     assert messages[2] == "vertex 2 has forbidden partners [1, 3]"
 
+
+
+# -- graphicality against max-flow ---------------------------------------------
+
+
+def _flow_graphical(inst):
+    """Graphicality of a bipartite-kind instance by max-flow, independent of the greedy.
+
+    The network runs source -> u with capacity d(u), u -> w on every chord
+    with capacity 1 and w -> sink with capacity d(w); the instance is
+    graphical exactly when the flow saturates every U-degree.  The chords are
+    read off the star and the matching here, not off the instance's own index.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n_u, n = inst.n_u, inst.n_vertices
+    chord = np.ones((n_u, inst.n_w), dtype=bool)
+    for u, w in inst.matching | {(inst.star_center, leaf) for leaf in inst.star_leaves}:
+        chord[u, w - n_u] = False
+    us, ws = np.nonzero(chord)
+    source, sink = n, n + 1
+    rows = np.concatenate([np.full(n_u, source), us, np.arange(n_u, n)])
+    cols = np.concatenate([np.arange(n_u), ws + n_u, np.full(n - n_u, sink)])
+    caps = np.concatenate([inst.u_degrees, np.ones(len(us)), inst.w_degrees]).astype(np.int32)
+    network = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
+    return maximum_flow(network, source, sink).flow_value == sum(inst.u_degrees)
+
+
+@st.composite
+def _irregular_star_matching_instances(draw):
+    """Bipartite and directed instances, up to 60 vertices a side, with a star of any size.
+
+    Each U-degree is drawn up to its chord count and the W-degrees share the
+    same total within theirs, so every draw is valid.  Drawn W-degrees are
+    mostly not graphical, and W-degrees dealt out evenly mostly are.
+    """
+    directed = draw(st.booleans())
+    n_u = draw(st.integers(1, 60))
+    n_w = n_u if directed else draw(st.integers(1, 60))
+    center = draw(st.integers(0, n_u - 1))
+    leaves = draw(st.sets(st.integers(0, n_w - 1), max_size=n_w))
+    if directed:
+        matching = [(i, i) for i in range(n_u)]
+    else:
+        u_perm = draw(st.permutations(range(n_u)))
+        w_perm = draw(st.permutations(range(n_w)))
+        matching = list(zip(u_perm, w_perm))[: draw(st.integers(0, min(n_u, n_w)))]
+    forbidden = set(matching) | {(center, j) for j in leaves}
+    u_caps = [sum((i, j) not in forbidden for j in range(n_w)) for i in range(n_u)]
+    w_caps = [sum((i, j) not in forbidden for i in range(n_u)) for j in range(n_w)]
+    u_deg = [draw(st.integers(0, cap)) for cap in u_caps]
+    left, w_deg = sum(u_deg), [0] * n_w
+    if draw(st.booleans()):
+        # deal the total out round robin, so the W-degrees differ by one off full vertices
+        while left:
+            for j in range(n_w):
+                if left and w_deg[j] < w_caps[j]:
+                    w_deg[j] += 1
+                    left -= 1
+    else:
+        for j in range(n_w - 1, -1, -1):
+            w_deg[j] = draw(st.integers(max(0, left - sum(w_caps[:j])), min(w_caps[j], left)))
+            left -= w_deg[j]
+    kind = core.KIND_DIRECTED if directed else core.KIND_BIPARTITE
+    return core.bipartite_instance(u_deg, w_deg, center, sorted(leaves), matching, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_irregular_star_matching_instances())
+def test_greedy_decides_graphicality_as_max_flow_does(inst):
+    graphical = _flow_graphical(inst)
+    event("graphical" if graphical else "not graphical")
+    assert (construct.greedy_construct(inst) is not None) == graphical
+
+
+def test_greedy_and_max_flow_agree_at_n_1000():
+    inst = _half_regular(1000, 5)
+    assert _flow_graphical(inst)
+    assert construct.greedy_construct(inst) is not None
 
 # -- repair_swap ------------------------------------------------------------
 
