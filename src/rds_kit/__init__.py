@@ -20,6 +20,7 @@ from .core import (
 from .construct import greedy_construct, neighbor_order, repair_swap
 from .swaps import (
     ChordCircuit,
+    alternating_circuits,
     apply_circuit,
     check_alternating,
     decompose_symmetric_difference,

@@ -1,9 +1,10 @@
 """Brute-force ground truth: enumeration, realization graphs, uniformity checks.
 
 One enumerator serves bipartite, directed and general instances alike, and
-one depth-first search lists the alternating circuits behind the F-swaps.
-Everything here is a desk-scale oracle guarded by size limits; the fast paths
-elsewhere are validated against it, never the other way round.
+the F-swaps are the F-compatible circuits of
+:func:`rds_kit.swaps.alternating_circuits` over every chord.  Everything
+here is a desk-scale oracle guarded by size limits; the fast paths elsewhere
+are validated against it, never the other way round.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from .chain import _require_chain_instance, legal_moves, run_chain
 from .construct import greedy_construct
-from .core import Pair, ProblemInstance, Realization, norm_pair, realization_from_global_edges
+from .core import Pair, ProblemInstance, Realization, realization_from_global_edges
 from .errors import NotGraphical, PreconditionViolated, TooLarge, TooManyStates
-from .swaps import ChordCircuit, check_alternating, is_f_compatible
+from .swaps import ChordCircuit, alternating_circuits, check_alternating, is_f_compatible
 
 CHAIN_MOVES = "chain_moves"
 ALL_FSWAPS = "all_fswaps"
@@ -95,59 +96,12 @@ def _enumerate(inst: ProblemInstance, collect) -> None:
 def enumerate_fswaps(real: Realization) -> list[ChordCircuit]:
     """All F-compatible elementary circular swaps (alternating circuits) at a realization."""
     inst = real.instance
-    if inst.is_bipartite_like:
-        max_length = 2 * min(inst.n_u, inst.n_w)
-    else:
-        max_length = 2 * inst.n_vertices
     out = []
-    for circ in _alternating_elementary_circuits(real, max_length):
+    for circ in alternating_circuits(real, [inst.chords_at(v) for v in range(inst.n_vertices)]):
         if is_f_compatible(inst, circ):
             check_alternating(real, circ)
             out.append(circ)
     return out
-
-
-def _alternating_elementary_circuits(real: Realization, max_length: int) -> list[ChordCircuit]:
-    """Enumerate alternating elementary chord-circuits, canonical and deduplicated.
-
-    Each circuit is found from its least vertex.  A vertex may come back once,
-    at odd distance along the path, and no chord is used twice.
-    """
-    inst = real.instance
-    chords_of = [inst.chords_at(v) for v in range(inst.n_vertices)]
-    found: dict[tuple[int, ...], ChordCircuit] = {}
-    used_chords: set[Pair] = set()
-
-    def dfs(path: list[int]) -> None:
-        first, cur = path[0], path[-1]
-        # None lets the first chord be an edge or a non-edge
-        last_status = real.has_edge(path[-2], cur) if len(path) > 1 else None
-        if (
-            len(path) >= 4
-            and len(path) % 2 == 0
-            and inst.is_chord(cur, first)
-            and norm_pair(cur, first) not in used_chords
-            and real.has_edge(cur, first) != real.has_edge(first, path[1])
-        ):
-            circ = ChordCircuit(inst, tuple(path)).canonical()
-            found.setdefault(circ.vertices, circ)
-        if len(path) >= max_length:
-            return
-        for nxt in chords_of[cur]:
-            pair = norm_pair(cur, nxt)
-            if nxt < first or pair in used_chords or real.has_edge(cur, nxt) == last_status:
-                continue
-            if nxt in path and (path.count(nxt) > 1 or (len(path) - path.index(nxt)) % 2 == 0):
-                continue
-            used_chords.add(pair)
-            path.append(nxt)
-            dfs(path)
-            path.pop()
-            used_chords.discard(pair)
-
-    for start in range(inst.n_vertices):
-        dfs([start])
-    return list(found.values())
 
 
 @dataclass

@@ -13,7 +13,9 @@ The two chain moves are such swaps, but they are defined, built and applied
 as chord toggles in :mod:`rds_kit.chain`.  The circuits here serve the
 general F-swaps: symmetric-difference decompositions, the greedy's repair
 circuits, the F-swap enumeration of :mod:`rds_kit.oracle` and the swap
-distance.
+distance.  One depth-first search, :func:`alternating_circuits`, lists the
+elementary alternating circuits over given chords; the F-swap enumeration
+runs it over every chord and the swap distance over E(G) ^ E(H).
 """
 
 from __future__ import annotations
@@ -208,64 +210,85 @@ def decompose_symmetric_difference(G: Realization, H: Realization) -> list[Chord
     return circuits
 
 
-def _circuits_through(
-    e0: Pair, remaining: frozenset[Pair], colors: dict[Pair, bool]
-) -> set[frozenset[Pair]]:
-    """All alternating circuit edge sets within `remaining` that contain e0."""
-    found: set[frozenset[Pair]] = set()
-    a, b = e0
-    c0 = colors[e0]
+def alternating_circuits(real: Realization, chords_of: list[list[int]]) -> list[ChordCircuit]:
+    """Every elementary circuit over the chords ``chords_of[v]`` that alternates in ``real``.
 
-    def dfs(cur: int, used: set[Pair], last_color: bool) -> None:
-        for other in remaining:
-            if other in used:
-                continue
-            if cur not in other:
-                continue
-            if colors[other] == last_color:
-                continue
-            nxt = other[0] if other[1] == cur else other[1]
-            used.add(other)
-            if nxt == a and colors[other] != c0:
-                found.add(frozenset(used))
-            dfs(nxt, used, colors[other])
-            used.discard(other)
+    The circuits come canonical and deduplicated, in discovery order.  Each
+    is found from its least vertex; a vertex may come back once, at odd
+    distance along the path, and no chord is used twice.  That rule bounds
+    the length: on bipartite kinds a repeat would sit at even distance, so
+    every circuit is a simple cycle, and on general kinds no vertex appears
+    more than twice.
+    """
+    inst = real.instance
+    found: dict[tuple[int, ...], ChordCircuit] = {}
+    used_chords: set[Pair] = set()
 
-    dfs(b, {e0}, c0)
-    return found
+    def dfs(path: list[int], last_status: bool | None) -> None:
+        first, cur = path[0], path[-1]
+        if (
+            len(path) >= 4
+            and len(path) % 2 == 0
+            and first in chords_of[cur]
+            and norm_pair(cur, first) not in used_chords
+            and real.has_edge(cur, first) != real.has_edge(first, path[1])
+        ):
+            circ = ChordCircuit(inst, tuple(path)).canonical()
+            found.setdefault(circ.vertices, circ)
+        for nxt in chords_of[cur]:
+            pair = norm_pair(cur, nxt)
+            status = pair in real.edges
+            if nxt < first or pair in used_chords or status == last_status:
+                continue
+            if nxt in path and (path.count(nxt) > 1 or (len(path) - path.index(nxt)) % 2 == 0):
+                continue
+            used_chords.add(pair)
+            path.append(nxt)
+            dfs(path, status)
+            path.pop()
+            used_chords.discard(pair)
+
+    for start in range(len(chords_of)):
+        dfs([start], None)  # None lets the first chord be an edge or a non-edge
+    return list(found.values())
 
 
 def max_alternating_circuit_count(
     G: Realization, H: Realization, max_delta: int = 16
 ) -> int:
-    """Maximum number of circuits over all alternating decompositions of the difference."""
+    """Maximum number of circuits over all alternating decompositions of the difference.
+
+    Elementary circuits suffice.  A closed alternating trail that visits a
+    vertex at positions p < q with q - p even has edges p and q - 1 of
+    opposite parity, hence of different colours, so it splits there into two
+    closed alternating trails; a vertex seen three times has two visits at
+    even distance.  So some maximum decomposition uses only elementary circuits.
+    """
+    if G.instance is not H.instance and G.instance != H.instance:
+        raise PreconditionViolated("realizations belong to different instances")
     delta = G.edges ^ H.edges
-    if not delta:
-        return 0
     if len(delta) > max_delta:
         raise TooLarge(f"symmetric difference has {len(delta)} chords (guard {max_delta})")
-    colors = {e: e in G.edges for e in delta}
+    chords_of: list[list[int]] = [[] for _ in range(G.instance.n_vertices)]
+    for a, b in sorted(delta):
+        chords_of[a].append(b)
+        chords_of[b].append(a)
+    circuits = [frozenset(c.chords) for c in alternating_circuits(G, chords_of)]
     memo: dict[frozenset[Pair], int] = {}
 
     def best(remaining: frozenset[Pair]) -> int:
         if not remaining:
             return 0
-        if remaining in memo:
-            return memo[remaining]
-        e0 = min(remaining)
-        score = max(
-            1 + best(remaining - circuit)
-            for circuit in _circuits_through(e0, remaining, colors)
-        )
-        memo[remaining] = score
-        return score
+        if remaining not in memo:
+            e0 = min(remaining)
+            memo[remaining] = max(
+                1 + best(remaining - c) for c in circuits if e0 in c and c <= remaining
+            )
+        return memo[remaining]
 
     return best(frozenset(delta))
 
 
 def swap_distance(G: Realization, H: Realization, max_delta: int = 16) -> int:
     """Minimum total weight of an F-swap sequence between two realizations."""
-    delta = G.edges ^ H.edges
-    if not delta:
-        return 0
-    return len(delta) // 2 - max_alternating_circuit_count(G, H, max_delta)
+    return len(G.edges ^ H.edges) // 2 - max_alternating_circuit_count(G, H, max_delta)

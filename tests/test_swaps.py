@@ -10,6 +10,7 @@ from rds_kit.errors import (
     InvalidCircuit,
     NotAChord,
     NotAlternating,
+    PreconditionViolated,
     TooLarge,
 )
 from rds_kit.oracle import build_realization_graph, enumerate_all, ALL_FSWAPS
@@ -323,6 +324,20 @@ def test_swap_distance_examples(f2, f2_reals, open2x2):
     G = core.make_realization(open2x2, [(0, 0), (1, 1)])
     H = core.make_realization(open2x2, [(0, 1), (1, 0)])
     assert swaps.swap_distance(G, H) == 1
+
+
+def test_distance_refuses_realizations_of_two_instances(open2x2):
+    matched = core.bipartite_instance([1, 1], [1, 1], matching=[(0, 0)])
+    crossed = core.bipartite_instance([1, 1], [1, 1], matching=[(0, 1)])
+    G = core.make_realization(open2x2, [(0, 0), (1, 1)])
+    pairs = [
+        (G, core.make_realization(matched, [(0, 1), (1, 0)])),  # 4 chords apart
+        (G, core.make_realization(crossed, [(0, 0), (1, 1)])),  # the same edges
+    ]
+    for G, H in pairs:
+        for measure in (swaps.max_alternating_circuit_count, swaps.swap_distance):
+            with pytest.raises(PreconditionViolated):
+                measure(G, H)
 
 
 def test_swap_distance_guard(f3):
