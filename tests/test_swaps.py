@@ -124,6 +124,22 @@ def test_apply_swap_preserves_degrees_everywhere(f3):
             assert swaps.apply_circuit(after, circ).key == real.key  # a swap undoes itself
 
 
+def test_alternating_circuits_are_elementary_and_use_each_chord_once():
+    """Over every chord of a general instance a circuit may revisit a vertex, never a chord."""
+    inst = core.general_instance(
+        [2, 2, 2, 1, 1, 2], star_center=0, star_leaves=[1], matching=[(2, 3), (4, 5)]
+    )
+    chords_of = [inst.chords_at(v) for v in range(inst.n_vertices)]
+    revisits = 0
+    for real in enumerate_all(inst):
+        for circ in swaps.alternating_circuits(real, chords_of):
+            swaps.make_circuit(inst, circ.vertices)  # raises on a repeated chord
+            swaps.check_alternating(real, circ)
+            assert circ.is_elementary
+            revisits += len(set(circ.vertices)) < circ.length
+    assert revisits > 0
+
+
 # -- chain moves as toggles --------------------------------------------------
 
 
@@ -330,11 +346,11 @@ def test_distance_refuses_realizations_of_two_instances(open2x2):
     matched = core.bipartite_instance([1, 1], [1, 1], matching=[(0, 0)])
     crossed = core.bipartite_instance([1, 1], [1, 1], matching=[(0, 1)])
     G = core.make_realization(open2x2, [(0, 0), (1, 1)])
-    pairs = [
-        (G, core.make_realization(matched, [(0, 1), (1, 0)])),  # 4 chords apart
-        (G, core.make_realization(crossed, [(0, 0), (1, 1)])),  # the same edges
+    others = [
+        core.make_realization(matched, [(0, 1), (1, 0)]),  # 4 chords apart
+        core.make_realization(crossed, [(0, 0), (1, 1)]),  # the same edges
     ]
-    for G, H in pairs:
+    for H in others:
         for measure in (swaps.max_alternating_circuit_count, swaps.swap_distance):
             with pytest.raises(PreconditionViolated):
                 measure(G, H)
