@@ -311,7 +311,6 @@ def _assert_tries_match_moves(inst):
         assert law == expected, state.key
 
 
-
 def test_c6_moves_reverse_directed_triangles():
     """On digraphs, the 6-cycle moves are Greenhill's triangle reversals.
 
@@ -349,6 +348,7 @@ def test_c6_moves_reverse_directed_triangles():
         n_moves += len(reversed_by_moves)
         n_triangles += len(triangles)
     assert (len(states), n_moves, n_triangles) == (216, 360, 360)
+
 
 # 4 states; u0 has two forbidden partners and w0 two, so a 3x3 block can have
 # one entry in every row but none in some column

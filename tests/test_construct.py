@@ -398,7 +398,6 @@ def test_greedy_raises_reference_not_normal_on_raw_instances():
     assert messages[2] == "vertex 2 has forbidden partners [1, 3]"
 
 
-
 # -- graphicality against max-flow ---------------------------------------------
 
 
@@ -477,6 +476,7 @@ def test_greedy_and_max_flow_agree_at_n_1000():
     inst = _half_regular(1000, 5)
     assert _flow_graphical(inst)
     assert construct.greedy_construct(inst) is not None
+
 
 # -- repair_swap ------------------------------------------------------------
 
