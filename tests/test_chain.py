@@ -406,6 +406,18 @@ def test_walker_stays_where_rates_exceed_one(u, w):
     assert chain.walk_chains(inst, start, 1000, seed=0, chains=3) == ([start] * 3, 0)
 
 
+def test_no_forbidden_pair_has_no_hexagon_and_an_exact_kernel():
+    """2-regular 4x4 bipartite graphs with no star and no matching: KTV's plain case."""
+    inst = core.bipartite_instance([2] * 4, [2] * 4)
+    _, theta6, kappa = chain.try_rates(inst)
+    assert kappa == 0 and theta6 == 0
+    report = chain.exact_kernel(inst)
+    assert report.size == 90
+    diag = report.diagnostics()
+    assert diag["symmetry_residual"] == 0 and diag["row_sum_residual"] == 0
+    assert diag["min_diagonal"] >= Fraction(1, 2) and diag["uniform_stationary"]
+
+
 def _chi_square_against_kernel(inst, steps, chains, seed):
     """p-value of the end states of `chains` walks of `steps` steps from the greedy
     state against the exact row of P^steps; bins expecting fewer than 5 are pooled."""

@@ -476,6 +476,11 @@ def _audit_digest(inst):
             44,
             "8481c92312e5a86ec4024fb8b17f2739a88596694ccdf184ea1b03cd4bf8517e",
         ),
+        (
+            core.bipartite_instance([1] * 4, [1] * 4),
+            24,
+            "d7b478bcd4dc9554da3de1fa10f3bcf007c9d3d229b9ce78ab2effa575391cc5",
+        ),
     ],
     ids=[
         "half_regular_4_2",
@@ -484,6 +489,7 @@ def _audit_digest(inst):
         "MATCHED_CENTER",
         "directed_2_4",
         "directed_3_5",
+        "no_forbidden_1_4",
     ],
 )
 def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
@@ -493,6 +499,7 @@ def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
     single switch resolves; the other three bipartite ones repair mostly lone
     2 entries.  The two directed ones are 2- and 3-regular digraphs on four
     and five vertices, the abstract's directed special case: the diagonal
-    matching forbids loops and there is no star.
+    matching forbids loops and there is no star.  The last has no forbidden
+    pair at all: its 24 states are the permutation matrices of order four.
     """
     assert _audit_digest(inst) == (n_states, digest)
