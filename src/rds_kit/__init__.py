@@ -45,6 +45,7 @@ from .oracle import (
 from .paths import (
     PathReport,
     audit_bad_positions,
+    audit_pairs,
     auxiliary_matrix,
     canonical_path,
     milestones,

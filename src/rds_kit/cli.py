@@ -261,27 +261,22 @@ def _cmd_audit_paths(args) -> tuple[int, dict]:
     states = oracle.enumerate_all(inst, max_states=args.max_states)
     if not states:
         return EXIT_NEGATIVE, {"graphical": False}
-    stack = paths.state_stack(states)
     edge_lists = [s.to_pairs() for s in states] if args.verbose else None
     pair_reports = [] if args.verbose else None
     max_h = 0
-    for i, X in enumerate(states):
-        for j, Y in enumerate(states):
-            if i == j:
-                continue
-            rep = paths.verify_theta_omega(X, Y, stack)
-            max_h = max(max_h, rep.max_hamming)
-            if args.verbose:
-                pair_reports.append(
-                    {
-                        "from": edge_lists[i],
-                        "to": edge_lists[j],
-                        "moves": len(rep.steps),
-                        "max_hamming": rep.max_hamming,
-                        "theta_ok": rep.theta_ok,
-                        "omega_ok": rep.omega_ok,
-                    }
-                )
+    for i, j, rep in paths.audit_pairs(states):
+        max_h = max(max_h, rep.max_hamming)
+        if args.verbose:
+            pair_reports.append(
+                {
+                    "from": edge_lists[i],
+                    "to": edge_lists[j],
+                    "moves": len(rep.steps),
+                    "max_hamming": rep.max_hamming,
+                    "theta_ok": rep.theta_ok,
+                    "omega_ok": rep.omega_ok,
+                }
+            )
     return EXIT_OK, {
         "states": len(states),
         "ordered_pairs": len(states) * (len(states) - 1),

@@ -22,6 +22,13 @@ switch moves a unit of the bad column from a source row to a sink row and
 back through a column that stays binary, retiring a 2 or a -1 and creating
 no bad entry.  Every cycle of length 2l must cost exactly weight l-1.
 
+:func:`audit_pairs` audits every ordered pair of a state list in row order,
+sharing for that call a memo of cycle sweeps, keyed by (milestone edges, cycle
+vertices), and one of matrix checks, keyed by the auxiliary matrix's bytes.
+An entry is written only after every check on its input has passed, so each
+distinct input is still checked in full once and a failure is raised where
+the one-pair audit raises it.  Detour steps depend on Z and are never stored.
+
 Matrices exist for bipartite kinds only, as plain W x U int8 arrays like
 :attr:`Realization.matrix`, with 0 at every forbidden pair; the repair, which
 must refuse a forbidden corner, reads ``inst.forbidden_mask``.
@@ -29,6 +36,7 @@ must refuse a forbidden corner, reads ``inst.forbidden_mask``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +234,11 @@ def _double_step(emit, inst: ProblemInstance, edges, u1, us, ws, j) -> None:
     emit("c4", *second)
 
 
-def canonical_path(X: Realization, Y: Realization) -> "PathReport":
-    """The unique move sequence from X to Y; :func:`verify_theta_omega` audits it."""
+def canonical_path(X: Realization, Y: Realization, sweeps: dict | None = None) -> "PathReport":
+    """The unique move sequence from X to Y; :func:`verify_theta_omega` audits it.
+
+    ``sweeps`` memoises each cycle's checked (kind, toggle, state) triples.
+    """
     if X.instance != Y.instance:
         raise PreconditionViolated("realizations belong to different instances")
     if not X.instance.is_bipartite_like:
@@ -239,14 +250,21 @@ def canonical_path(X: Realization, Y: Realization) -> "PathReport":
     for idx, cyc in enumerate(cycles):
         first = len(steps)
         cur = miles[idx]
-        for kind, toggle in sweep_cycle(cur, miles[idx + 1], cyc):
-            nxt = realization_from_global_edges(
-                cur.instance, cur.edges.symmetric_difference(toggle)
-            )
-            if classify_move(cur, nxt) != kind:
-                raise AuditFailed("sweep emitted a move outside the chain's move set")
-            steps.append(PathStep(move=kind, toggle=toggle, state=nxt))
-            cur = nxt
+        key = (cur.edges, cyc.vertices)
+        swept = sweeps.get(key) if sweeps is not None else None
+        if swept is None:
+            swept = []
+            for kind, toggle in sweep_cycle(cur, miles[idx + 1], cyc):
+                nxt = realization_from_global_edges(
+                    cur.instance, cur.edges.symmetric_difference(toggle)
+                )
+                if classify_move(cur, nxt) != kind:
+                    raise AuditFailed("sweep emitted a move outside the chain's move set")
+                swept.append((kind, toggle, nxt))
+                cur = nxt
+            if sweeps is not None:
+                sweeps[key] = swept
+        steps.extend(PathStep(move=kind, toggle=toggle, state=Z) for kind, toggle, Z in swept)
         cycle_weights.append((cyc.length // 2, sum(st.weight for st in steps[first:])))
     return PathReport(steps=steps, theta_ok=all(w == l - 1 for l, w in cycle_weights))
 
@@ -370,7 +388,13 @@ def _require_audit_instance(inst: ProblemInstance) -> None:
         raise PreconditionViolated("the switch-repair audit needs a half-regular instance")
 
 
-def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> PathReport:
+def verify_theta_omega(
+    X: Realization,
+    Y: Realization,
+    stack: np.ndarray,
+    sweeps: dict | None = None,
+    checked: dict | None = None,
+) -> PathReport:
     """Audit one canonical path against the sweep-cost and auxiliary-matrix bounds.
 
     Builds the path with :func:`canonical_path`, then checks, for every
@@ -385,10 +409,14 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
     :func:`state_stack`) and constructively via at most one chain move plus
     at most three switches; and its bad-entry pattern sits within one move of
     the confined-column shape.  Raises AuditFailed on any violation.
+
+    ``sweeps`` goes to :func:`canonical_path`; ``checked`` maps a matrix's
+    bytes to its (distance, switch count) against this ``stack``, see
+    :func:`audit_pairs`.
     """
     inst = X.instance
     _require_audit_instance(inst)
-    report = canonical_path(X, Y)
+    report = canonical_path(X, Y, sweeps)
 
     max_h = 0
     both, either, differ = X.edges & Y.edges, X.edges | Y.edges, X.edges ^ Y.edges
@@ -400,6 +428,11 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
             step.repair_switches = 0
             continue
         mhat = auxiliary_matrix(X, Y, step.state)
+        key = mhat.tobytes()
+        if checked is not None and key in checked:
+            h, step.repair_switches = checked[key]
+            max_h = max(max_h, h)
+            continue
         columns, rows = mhat.sum(axis=0), mhat.sum(axis=1)
         if not (np.array_equal(columns, inst.u_degrees) and np.array_equal(rows, inst.w_degrees)):
             raise AuditFailed("auxiliary matrix margins drifted")
@@ -411,7 +444,8 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
             )
         # constructive route: at most one move away from the repairable pattern
         base = mhat
-        if not audit_bad_positions(inst, mhat).within_lemma_pattern:
+        fits = audit_bad_positions(inst, mhat).within_lemma_pattern
+        if not fits:
             edges = step.state.edges
             for _, toggle in legal_moves(inst, edges):
                 nb = realization_from_global_edges(inst, edges.symmetric_difference(toggle))
@@ -425,8 +459,24 @@ def verify_theta_omega(X: Realization, Y: Realization, stack: np.ndarray) -> Pat
         if constructive > HAMMING_BOUND or len(switches) > MAX_SWITCHES:
             raise AuditFailed("constructive repair exceeded the audit bound")
         step.repair_switches = len(switches)
+        if fits and checked is not None:
+            checked[key] = (h, len(switches))
     if not report.theta_ok:
         raise AuditFailed("a cycle sweep emitted the wrong total weight")
     report.omega_ok = True
     report.max_hamming = max_h
     return report
+
+
+def audit_pairs(states: list[Realization]) -> Iterator[tuple[int, int, PathReport]]:
+    """(i, j, report) of :func:`verify_theta_omega` for every ordered pair i != j.
+
+    The pairs share the sweep and matrix memos; see the module docstring.
+    """
+    stack = state_stack(states)
+    sweeps: dict = {}
+    checked: dict = {}
+    for i, X in enumerate(states):
+        for j, Y in enumerate(states):
+            if i != j:
+                yield i, j, verify_theta_omega(X, Y, stack, sweeps, checked)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -459,39 +460,53 @@ def _audit_digest(inst):
     return len(states), hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "inst, n_states, digest",
-    [
-        (_half_regular(4, 2), 7, "8576bb545b918604c98f3ebe8cde09d52d604e893a66295ab2ed2d99de06fef1"),
-        (_half_regular(5, 3), 32, "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943"),
-        (ROADMAP_4X4, 15, "ad35b9c3785376080ec18e7bf05b3e3a8cedf31b069c875ef9cb3ef5aabdbc00"),
-        (MATCHED_CENTER, 88, "d8be711c794d9254705ba48bc95c8ac0a29b2e71a12e12478c24e395d3789410"),
-        (
-            core.from_directed([2] * 4, [2] * 4),
-            9,
-            "a27646179a0a8b0e59dc18522fb60730855d14cd48210034790e93c9359aa3a5",
-        ),
-        (
-            core.from_directed([3] * 5, [3] * 5),
-            44,
-            "8481c92312e5a86ec4024fb8b17f2739a88596694ccdf184ea1b03cd4bf8517e",
-        ),
-        (
-            core.bipartite_instance([1] * 4, [1] * 4),
-            24,
-            "d7b478bcd4dc9554da3de1fa10f3bcf007c9d3d229b9ce78ab2effa575391cc5",
-        ),
-    ],
-    ids=[
-        "half_regular_4_2",
-        "half_regular_5_3",
-        "roadmap_4x4",
-        "MATCHED_CENTER",
-        "directed_2_4",
-        "directed_3_5",
-        "no_forbidden_1_4",
-    ],
-)
+PINNED_AUDITS = [
+    pytest.param(
+        _half_regular(4, 2),
+        7,
+        "8576bb545b918604c98f3ebe8cde09d52d604e893a66295ab2ed2d99de06fef1",
+        id="half_regular_4_2",
+    ),
+    pytest.param(
+        _half_regular(5, 3),
+        32,
+        "057132dc9e278e61f05993ed0340601e710758bf9f563e666374fee433f7f943",
+        id="half_regular_5_3",
+    ),
+    pytest.param(
+        ROADMAP_4X4,
+        15,
+        "ad35b9c3785376080ec18e7bf05b3e3a8cedf31b069c875ef9cb3ef5aabdbc00",
+        id="roadmap_4x4",
+    ),
+    pytest.param(
+        MATCHED_CENTER,
+        88,
+        "d8be711c794d9254705ba48bc95c8ac0a29b2e71a12e12478c24e395d3789410",
+        id="MATCHED_CENTER",
+    ),
+    pytest.param(
+        core.from_directed([2] * 4, [2] * 4),
+        9,
+        "a27646179a0a8b0e59dc18522fb60730855d14cd48210034790e93c9359aa3a5",
+        id="directed_2_4",
+    ),
+    pytest.param(
+        core.from_directed([3] * 5, [3] * 5),
+        44,
+        "8481c92312e5a86ec4024fb8b17f2739a88596694ccdf184ea1b03cd4bf8517e",
+        id="directed_3_5",
+    ),
+    pytest.param(
+        core.bipartite_instance([1] * 4, [1] * 4),
+        24,
+        "d7b478bcd4dc9554da3de1fa10f3bcf007c9d3d229b9ce78ab2effa575391cc5",
+        id="no_forbidden_1_4",
+    ),
+]
+
+
+@pytest.mark.parametrize("inst, n_states, digest", PINNED_AUDITS)
 def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
     """Every ordered pair's audit outcome, step by step, is pinned.
 
@@ -503,3 +518,124 @@ def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
     pair at all: its 24 states are the permutation matrices of order four.
     """
     assert _audit_digest(inst) == (n_states, digest)
+
+
+# -- all pairs in one pass ----------------------------------------------------------
+
+
+def _one_pair_audits(states):
+    """What audit_pairs yields, from a fresh verify_theta_omega call per pair."""
+    stack = paths.state_stack(states)
+    for i, X in enumerate(states):
+        for j, Y in enumerate(states):
+            if i != j:
+                yield i, j, paths.verify_theta_omega(X, Y, stack)
+
+
+def _outcome(report):
+    steps = [(s.move, s.toggle, s.state.key, s.repair_switches) for s in report.steps]
+    return steps, report.max_hamming, report.theta_ok
+
+
+def _assert_audit_pairs_match(states, limit=None):
+    """audit_pairs and the one-pair audit agree pair by pair on the first ``limit`` pairs."""
+    fresh = list(islice(_one_pair_audits(states), limit))
+    shared = list(islice(paths.audit_pairs(states), limit))
+    assert [(i, j) for i, j, _ in shared] == [(i, j) for i, j, _ in fresh]
+    for (_, _, got), (_, _, want) in zip(shared, fresh):
+        assert _outcome(got) == _outcome(want)
+    steps = [step for _, _, rep in shared for step in rep.steps]
+    assert len({id(step) for step in steps}) == len(steps)  # no step is shared
+
+
+@pytest.mark.parametrize("inst, n_states, digest", PINNED_AUDITS)
+def test_audit_pairs_matches_the_one_pair_audit(inst, n_states, digest):
+    _assert_audit_pairs_match(enumerate_all(inst))
+
+
+@settings(max_examples=25, deadline=None)
+@given(half_regular_instances())
+def test_audit_pairs_matches_the_one_pair_audit_property(inst):
+    _assert_audit_pairs_match(enumerate_all(inst), limit=300)
+
+
+def _first_failure(audits):
+    """(pairs audited before the first AuditFailed, its message), or None."""
+    done = 0
+    try:
+        for _ in audits:
+            done += 1
+    except AuditFailed as exc:
+        return done, str(exc)
+    return None
+
+
+def _first_uses(fn_name, key, states, monkeypatch):
+    """Distinct keys of the arguments of paths.<fn_name>, in the order the one-pair audit meets them."""
+    seen = {}
+    real = getattr(paths, fn_name)
+
+    def record(*args):
+        seen.setdefault(key(*args), None)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(paths, fn_name, record)
+        for _ in _one_pair_audits(states):
+            pass
+    return list(seen)
+
+
+def _refuse(inst, m):
+    raise AuditFailed("switch repair refused the chosen matrix")
+
+
+@pytest.mark.parametrize(
+    "fn_name, key, fail",
+    [
+        ("classify_move", lambda cur, nxt: (cur.key, nxt.key), lambda cur, nxt: "c5"),
+        ("switch_repair", lambda inst, m: m.tobytes(), _refuse),
+    ],
+    ids=["classify_move", "switch_repair"],
+)
+def test_audit_pairs_fails_where_the_one_pair_audit_fails(fn_name, key, fail, monkeypatch):
+    """A check made to fail on one input fails at the same pair with the same message.
+
+    The inputs are spread over the order in which the one-pair audit first
+    meets them, so most of them first turn up after the memos hold entries
+    for other sweeps or matrices of the same pairs.
+    """
+    states = enumerate_all(_half_regular(5, 3))
+    inputs = _first_uses(fn_name, key, states, monkeypatch)
+    real = getattr(paths, fn_name)
+    for chosen in inputs[1 :: max(1, len(inputs) // 6)]:
+
+        def check(*args, chosen=chosen):
+            return fail(*args) if key(*args) == chosen else real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(paths, fn_name, check)
+            want = _first_failure(_one_pair_audits(states))
+            got = _first_failure(paths.audit_pairs(states))
+        assert want is not None and want[0] > 0
+        assert got == want
+
+
+def test_audit_pairs_audits_every_detour_step(monkeypatch):
+    """Steps that need the one-move detour are never memoised: each walks legal_moves."""
+    states = enumerate_all(_half_regular(5, 3))
+    walks = Counter()
+    legal_moves = paths.legal_moves
+
+    def count(inst, edges):
+        walks[mode[0]] += 1
+        return legal_moves(inst, edges)
+
+    monkeypatch.setattr(paths, "legal_moves", count)
+    mode = ["one pair"]
+    for _ in _one_pair_audits(states):
+        pass
+    mode = ["all pairs"]
+    for _ in paths.audit_pairs(states):
+        pass
+    assert walks["one pair"] > 0 and walks["all pairs"] == walks["one pair"]
