@@ -36,7 +36,6 @@ must refuse a forbidden corner, reads ``inst.forbidden_mask``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,8 +467,8 @@ def verify_theta_omega(
     return report
 
 
-def audit_pairs(states: list[Realization]) -> Iterator[tuple[int, int, PathReport]]:
-    """(i, j, report) of :func:`verify_theta_omega` for every ordered pair i != j.
+def audit_pairs(states: list[Realization]):
+    """Yield (i, j, report) of :func:`verify_theta_omega` for every ordered pair i != j.
 
     The pairs share the sweep and matrix memos; see the module docstring.
     """

@@ -571,7 +571,7 @@ def _first_failure(audits):
 
 
 def _first_uses(fn_name, key, states, monkeypatch):
-    """Distinct keys of the arguments of paths.<fn_name>, in the order the one-pair audit meets them."""
+    """Distinct keys of the calls of paths.<fn_name>, in one-pair audit order."""
     seen = {}
     real = getattr(paths, fn_name)
 
@@ -621,21 +621,24 @@ def test_audit_pairs_fails_where_the_one_pair_audit_fails(fn_name, key, fail, mo
         assert got == want
 
 
+def _detour_walks(audits, monkeypatch):
+    """The state of every step whose audit walks legal_moves, in audit order."""
+    walks = []
+    legal_moves = paths.legal_moves
+
+    def record(inst, edges):
+        walks.append(edges)
+        return legal_moves(inst, edges)
+
+    with monkeypatch.context() as m:
+        m.setattr(paths, "legal_moves", record)
+        for _ in audits:
+            pass
+    return walks
+
+
 def test_audit_pairs_audits_every_detour_step(monkeypatch):
     """Steps that need the one-move detour are never memoised: each walks legal_moves."""
     states = enumerate_all(_half_regular(5, 3))
-    walks = Counter()
-    legal_moves = paths.legal_moves
-
-    def count(inst, edges):
-        walks[mode[0]] += 1
-        return legal_moves(inst, edges)
-
-    monkeypatch.setattr(paths, "legal_moves", count)
-    mode = ["one pair"]
-    for _ in _one_pair_audits(states):
-        pass
-    mode = ["all pairs"]
-    for _ in paths.audit_pairs(states):
-        pass
-    assert walks["one pair"] > 0 and walks["all pairs"] == walks["one pair"]
+    walks = _detour_walks(_one_pair_audits(states), monkeypatch)
+    assert walks and _detour_walks(paths.audit_pairs(states), monkeypatch) == walks
