@@ -503,6 +503,12 @@ PINNED_AUDITS = [
         "d7b478bcd4dc9554da3de1fa10f3bcf007c9d3d229b9ce78ab2effa575391cc5",
         id="no_forbidden_1_4",
     ),
+    pytest.param(
+        core.bipartite_instance([2] * 4, [2] * 4),
+        90,
+        "c20c13f42e860839cb0808e592f8904007e4358d40f590c9f8aa08dfcd230c07",
+        id="no_forbidden_2_4",
+    ),
 ]
 
 
@@ -514,8 +520,9 @@ def test_audit_outcomes_match_pinned_digest(inst, n_states, digest):
     single switch resolves; the other three bipartite ones repair mostly lone
     2 entries.  The two directed ones are 2- and 3-regular digraphs on four
     and five vertices, the abstract's directed special case: the diagonal
-    matching forbids loops and there is no star.  The last has no forbidden
-    pair at all: its 24 states are the permutation matrices of order four.
+    matching forbids loops and there is no star.  The last two have no
+    forbidden pair at all: their 24 and 90 states are the 1- and 2-regular
+    bipartite graphs on four plus four vertices.
     """
     assert _audit_digest(inst) == (n_states, digest)
 

@@ -267,6 +267,50 @@ def test_decompose_figure_eight_splits():
         assert len(set(c.vertices)) == len(c.vertices)  # simple cycles
 
 
+def test_decompose_general_circuit_through_two_vertices_twice():
+    inst = core.general_instance([2] * 6)
+    X = core.make_realization(inst, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    Y = core.make_realization(inst, [(0, 1), (0, 3), (1, 5), (2, 3), (2, 4), (4, 5)])
+    circuits = swaps.decompose_symmetric_difference(X, Y)
+    assert [c.vertices for c in circuits] == [(0, 2, 3, 4, 2, 1, 5, 3)]  # 2 and 3 at odd distance
+    assert circuits[0].is_elementary
+
+
+@pytest.mark.parametrize(
+    "inst, n_states, digest",
+    [
+        (ROADMAP_4X4, 15, "59cd492626f78aa813f5d129e34eac65a720c717b2a8a1fb6ceb9a3e9c3897fa"),
+        (
+            core.from_directed([3] * 5, [3] * 5),
+            44,
+            "bfd28aa5e9e2c8f150cd4ad64b43fcadf8812e307ef58531ee4ab1597dc004c6",
+        ),
+        (
+            core.bipartite_instance([2] * 4, [2] * 4),
+            90,
+            "29e8c59010dba7b0fa9f52b733a1b5d0e7c5dc8516c2008d124a6c02ca9df6de",
+        ),
+        (
+            core.general_instance([2] * 6),
+            70,
+            "3fd21e2a5d7efc8042d4412ced1ce75bb2f028d7c632f9abb2977daeb981dd89",
+        ),
+    ],
+    ids=["roadmap_4x4", "directed_3_5", "no_forbidden_2_4", "general_2_6"],
+)
+def test_decompositions_match_pinned_digest(inst, n_states, digest):
+    """Every ordered pair's circuits, their vertex order and the list order are pinned."""
+    states = enumerate_all(inst)
+    circuits = [
+        [list(c.vertices) for c in swaps.decompose_symmetric_difference(X, Y)]
+        for X in states
+        for Y in states
+        if X is not Y
+    ]
+    assert len(states) == n_states
+    assert hashlib.sha256(json.dumps(circuits).encode()).hexdigest() == digest
+
+
 # -- mc and distance ---------------------------------------------------------
 
 
