@@ -11,11 +11,13 @@ for length 2i.
 
 The two chain moves are such swaps, but they are defined, built and applied
 as chord toggles in :mod:`rds_kit.chain`.  The circuits here serve the
-general F-swaps: symmetric-difference decompositions, the greedy's repair
-circuits, the F-swap enumeration of :mod:`rds_kit.oracle` and the swap
-distance.  One depth-first search, :func:`alternating_circuits`, lists the
-elementary alternating circuits over given chords; the F-swap enumeration
-runs it over every chord and the swap distance over E(G) ^ E(H).
+general F-swaps: the greedy's repair circuits, the F-swap enumeration of
+:mod:`rds_kit.oracle`, the swap distance and the canonical paths of
+:mod:`rds_kit.paths`.  One depth-first search, :func:`alternating_circuits`,
+lists the elementary alternating circuits over given chords, each in one
+direction; the F-swap enumeration runs it over every chord and the swap
+distance over E(G) ^ E(H).  The paths need no search: one walk over
+E(G) ^ E(H) cuts each of their circuits off where it closes.
 """
 
 from __future__ import annotations
@@ -146,67 +148,39 @@ def apply_circuit(real: Realization, circ: ChordCircuit) -> Realization:
 # ---------------------------------------------------------------------------
 
 
-def _alternating_circuit_walks(G: Realization, H: Realization) -> list[list[int]]:
-    """Deterministic Euler split of E(G) ^ E(H) into alternating closed walks."""
-    delta = G.edges ^ H.edges
-    adj: dict[int, dict[bool, set[int]]] = {}
-    for a, b in delta:
-        color = (a, b) in G.edges
-        for x, y in ((a, b), (b, a)):
-            adj.setdefault(x, {True: set(), False: set()})[color].add(y)
-
-    def take(x: int, color: bool) -> int | None:
-        nbrs = adj[x][color]
-        if not nbrs:
-            return None
-        y = min(nbrs)
-        adj[x][color].discard(y)
-        adj[y][color].discard(x)
-        return y
-
-    walks: list[list[int]] = []
-    active = sorted(adj)
-    while True:
-        start = next(
-            (v for v in active if adj[v][True] or adj[v][False]), None
-        )
-        if start is None:
-            break
-        walk = [start]
-        color = True  # leave along a G-edge, close along an H-edge
-        cur = start
-        while True:
-            nxt = take(cur, color)
-            assert nxt is not None, "walk stuck: color counts unbalanced"
-            walk.append(nxt)
-            cur = nxt
-            color = not color
-            if cur == start and color:  # arrived along an H-edge
-                break
-        walks.append(walk[:-1])
-    return walks
-
-
-def _split_even_repeats(walk: list[int]) -> list[list[int]]:
-    """Split closed walks until no vertex repeats at even circuit distance."""
-    n = len(walk)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if walk[p] == walk[q] and (q - p) % 2 == 0:
-                inner = walk[p:q]
-                outer = walk[:p] + walk[q:]
-                return _split_even_repeats(inner) + _split_even_repeats(outer)
-    return [walk]
-
-
 def decompose_symmetric_difference(G: Realization, H: Realization) -> list[ChordCircuit]:
-    """Partition E(G) ^ E(H) into alternating elementary chord-circuits."""
+    """Partition E(G) ^ E(H) into alternating elementary chord-circuits, in one walk.
+
+    From each vertex in ascending order, as long as it has a G-edge left, the
+    walk leaves along its least G-edge and then always takes the least unused
+    chord of the other color.  When the next vertex is already on the path at
+    even distance, the circuit from that earlier visit is cut off the path.  A
+    visit at odd distance stays on the path: that is how a circuit of a
+    general instance passes through a vertex twice.
+    """
     if G.instance is not H.instance and G.instance != H.instance:
         raise PreconditionViolated("realizations belong to different instances")
+    unused: dict[int, dict[bool, set[int]]] = {}
+    for a, b in G.edges ^ H.edges:
+        color = (a, b) in G.edges
+        for x, y in ((a, b), (b, a)):
+            unused.setdefault(x, {True: set(), False: set()})[color].add(y)
     circuits: list[ChordCircuit] = []
-    for walk in _alternating_circuit_walks(G, H):
-        for piece in _split_even_repeats(walk):
-            circuits.append(make_circuit(G.instance, piece))
+    for start in sorted(unused):
+        path, cur, color = [start], start, True  # chord k of the path is a G-edge for even k
+        while unused[cur][color]:
+            nxt = min(unused[cur][color])
+            unused[cur][color].discard(nxt)
+            unused[nxt][color].discard(cur)
+            cur, color = nxt, not color
+            if nxt in path:  # the visits at even distance share the parity of len(path)
+                cut = next((i for i in range(len(path) % 2, len(path), 2) if path[i] == nxt), None)
+                if cut is not None:
+                    circuits.append(make_circuit(G.instance, path[cut:]))
+                    del path[cut + 1 :]
+                    continue
+            path.append(nxt)
+        assert path == [start], "walk stuck: color counts unbalanced"
     return circuits
 
 
@@ -214,11 +188,11 @@ def alternating_circuits(real: Realization, chords_of: list[list[int]]) -> list[
     """Every elementary circuit over the chords ``chords_of[v]`` that alternates in ``real``.
 
     The circuits come canonical and deduplicated, in discovery order.  Each
-    is found from its least vertex; a vertex may come back once, at odd
-    distance along the path, and no chord is used twice.  That rule bounds
-    the length: on bipartite kinds a repeat would sit at even distance, so
-    every circuit is a simple cycle, and on general kinds no vertex appears
-    more than twice.
+    is found from its least vertex, in the direction whose second vertex is
+    below its last; a vertex may come back once, at odd distance along the
+    path, and no chord is used twice.  That rule bounds the length: on
+    bipartite kinds a repeat would sit at even distance, so every circuit is
+    a simple cycle, and on general kinds no vertex appears more than twice.
     """
     inst = real.instance
     found: dict[tuple[int, ...], ChordCircuit] = {}
@@ -231,6 +205,7 @@ def alternating_circuits(real: Realization, chords_of: list[list[int]]) -> list[
             and len(path) % 2 == 0
             and first in chords_of[cur]
             and norm_pair(cur, first) not in used_chords
+            and path[1] < cur  # one of the two directions
             and real.has_edge(cur, first) != real.has_edge(first, path[1])
         ):
             circ = ChordCircuit(inst, tuple(path)).canonical()

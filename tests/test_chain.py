@@ -15,7 +15,7 @@ from rds_kit.core import Realization
 from rds_kit.errors import (
     InstanceTooSmall, NotAChord, NotAdjacent, PreconditionViolated, TooManyStates, ValidationError,
 )
-from rds_kit.oracle import enumerate_all
+from rds_kit.oracle import CHAIN_MOVES, build_realization_graph, enumerate_all
 
 from conftest import MATCHED_CENTER, half_regular_instances, star_matching_instances
 
@@ -348,6 +348,30 @@ def test_c6_moves_reverse_directed_triangles():
         n_moves += len(reversed_by_moves)
         n_triangles += len(triangles)
     assert (len(states), n_moves, n_triangles) == (216, 360, 360)
+
+
+def _component_count(inst, kinds):
+    """Components of the state graph whose edges are the legal moves of the given kinds."""
+    unseen = {state.edges for state in enumerate_all(inst)}
+    count = 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            edges = stack.pop()
+            for kind, toggle in chain.legal_moves(inst, edges):
+                after = edges.symmetric_difference(toggle)
+                if kind in kinds and after in unseen:
+                    unseen.discard(after)
+                    stack.append(after)
+    return count
+
+
+def test_f2_needs_its_6_cycle_moves(f2):
+    """Without 6-cycle moves the two derangements of three cannot reach each other."""
+    assert _component_count(f2, {"c4"}) == 2
+    assert _component_count(f2, {"c4", "c6"}) == 1
+    assert build_realization_graph(f2, CHAIN_MOVES).is_connected()
 
 
 # 4 states; u0 has two forbidden partners and w0 two, so a 3x3 block can have

@@ -253,7 +253,7 @@ def test_decompose_partition_and_alternation(f3):
 
 
 def test_decompose_figure_eight_splits():
-    # two 4-cycles sharing only u0: the Euler walk must split at the repeat
+    # two 4-cycles sharing only u0: the walk must cut a circuit off at the repeat
     inst = core.bipartite_instance([2, 1, 1], [1, 1, 1, 1])
     G = core.make_realization(inst, [(0, 0), (0, 2), (1, 1), (2, 3)])
     H = core.make_realization(inst, [(0, 1), (0, 3), (1, 0), (2, 2)])
@@ -309,6 +309,75 @@ def test_decompositions_match_pinned_digest(inst, n_states, digest):
     ]
     assert len(states) == n_states
     assert hashlib.sha256(json.dumps(circuits).encode()).hexdigest() == digest
+
+
+# -- the one walk against the walk-and-split it replaced ------------------------
+
+
+def _reference_walks(G, H):
+    """Deterministic Euler split of E(G) ^ E(H) into alternating closed walks."""
+    delta = G.edges ^ H.edges
+    adj = {}
+    for a, b in delta:
+        color = (a, b) in G.edges
+        for x, y in ((a, b), (b, a)):
+            adj.setdefault(x, {True: set(), False: set()})[color].add(y)
+
+    def take(x, color):
+        y = min(adj[x][color])
+        adj[x][color].discard(y)
+        adj[y][color].discard(x)
+        return y
+
+    walks = []
+    active = sorted(adj)
+    while True:
+        start = next((v for v in active if adj[v][True] or adj[v][False]), None)
+        if start is None:
+            return walks
+        walk, cur, color = [start], start, True  # leave along a G-edge, close along an H-edge
+        while True:
+            cur = take(cur, color)
+            walk.append(cur)
+            color = not color
+            if cur == start and color:
+                break
+        walks.append(walk[:-1])
+
+
+def _split_even_repeats(walk):
+    """Split closed walks until no vertex repeats at even circuit distance."""
+    for p in range(len(walk)):
+        for q in range(p + 1, len(walk)):
+            if walk[p] == walk[q] and (q - p) % 2 == 0:
+                return _split_even_repeats(walk[p:q]) + _split_even_repeats(walk[:p] + walk[q:])
+    return [walk]
+
+
+def _reference_decomposition(G, H):
+    """Vertex tuples of the decomposition as whole closed walks, each split afterwards.
+
+    This is the two-pass algorithm that the one walk of
+    :func:`rds_kit.swaps.decompose_symmetric_difference` replaced; the
+    property below checks that both give the same circuits in the same order.
+    """
+    return [tuple(piece) for walk in _reference_walks(G, H) for piece in _split_even_repeats(walk)]
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [star_matching_instances(), half_regular_instances(), general_instances()],
+    ids=["star-matching", "half-regular", "general"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decomposition_matches_walk_and_split_reference(instances, data):
+    states = enumerate_all(data.draw(instances))
+    assume(states)
+    G = data.draw(st.sampled_from(states))
+    H = data.draw(st.sampled_from(states))
+    got = [c.vertices for c in swaps.decompose_symmetric_difference(G, H)]
+    assert got == _reference_decomposition(G, H)
 
 
 # -- mc and distance ---------------------------------------------------------
